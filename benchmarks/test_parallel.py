@@ -9,11 +9,20 @@ computation.
 
 Workload notes: a 3-D Poisson problem (wide elimination frontier, so
 ready batches spread across all owner ranks) under a Collector budget
-inflated to multiprocess scale — per-batch coordination is a queue
-round-trip per worker, so the schedule must amortise it over hundreds
-of tasks per batch, exactly as the paper's Batch stage amortises kernel
+inflated to multiprocess scale — per-batch coordination is one barrier
+across the pool, so the schedule must amortise it over hundreds of
+tasks per batch, exactly as the paper's Batch stage amortises kernel
 launches.  The per-batch owner-balance bound of this config is ~3x at 4
 workers; the 1.8x gate leaves headroom for dispatch overhead.
+
+The baseline that isolates coordination: the *same* recorded batch plan
+replayed in this process through the same batch function the workers
+call (no pool, no queue, no barrier).  1-worker numeric minus that
+replay is pure coordination overhead.  The table also carries the
+lifecycle columns a sub-1x result has to be read against —
+``boot_wait`` (first phase blocked on workers still importing),
+``plan`` (record + conflict scan + certify), and the barrier count
+with how many of them no cross-owner edge needs.
 
 Writes ``benchmarks/results/BENCH_parallel.json``.  The gate asserts
 only where it can physically hold (``os.cpu_count() >= 4``); elsewhere
@@ -37,6 +46,7 @@ from repro.gpusim.specs import RTX5090
 from repro.matrices.generators import poisson3d
 from repro.parallel import ParallelExecutor
 from repro.solvers import PanguLUSolver
+from repro.verify.hazards import batch_atomic_flags
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -62,6 +72,23 @@ def _parallel_numeric_seconds(a, workers, reps=2, **kwargs):
     return best, result
 
 
+def _inprocess_replay_seconds(a, batches, reps=2, **kwargs):
+    """Best-of-``reps`` seconds to run ``batches`` in this process, and
+    the factors it leaves (bit-checked by the caller)."""
+    engine = PanguLUSolver(a, scheduler="trojan", gpu=BATCH_GPU,
+                           **kwargs).prepare_engine()[2]
+    arrays = engine.dag.task_arrays()
+    flags = [batch_atomic_flags(arrays.target[tids]) for tids in batches]
+    best = math.inf
+    for _ in range(reps):
+        engine.reset_values(engine.a)
+        t0 = time.perf_counter()
+        for tids, atomic in zip(batches, flags):
+            engine.run_batch_tasks(tids, atomic, arrays)
+        best = min(best, time.perf_counter() - t0)
+    return best, engine.extract_factors()
+
+
 def test_parallel_scaling(emit, benchmark):
     nx = max(8, int(round(12 * BENCH_SCALE ** (1.0 / 3.0))))
     kwargs = dict(block_size=24)
@@ -76,18 +103,38 @@ def test_parallel_scaling(emit, benchmark):
         seconds, res = _parallel_numeric_seconds(a, w, **kwargs)
         assert np.array_equal(res.L.data, ref.L.data), w
         assert np.array_equal(res.U.data, ref.U.data), w
+        ph = res.phase_seconds
         per_worker[w] = {
             "numeric_seconds": seconds,
+            "boot_wait_seconds": ph["boot_wait"],
+            "plan_seconds": ph["plan"],
             "messages": res.messages,
             "comm_bytes": res.comm_bytes,
             "batches": len(res.batch_plan.batches),
+            "barriers": res.barriers,
+            "elidable_barriers": res.elidable_barriers,
             "tasks": res.batch_plan.n_tasks,
         }
         rows.append([w, f"{res.grid.pr}x{res.grid.pc}",
                      res.batch_plan.n_tasks,
                      len(res.batch_plan.batches), res.messages,
+                     ph["boot_wait"] * 1e3, ph["plan"] * 1e3,
                      seconds * 1e3,
+                     f"{res.elidable_barriers}/{res.barriers}",
                      round(per_worker[1]["numeric_seconds"] / seconds, 2)])
+
+    # the same plan with no pool around it (batch composition does not
+    # depend on the worker count, so any run's plan is *the* plan)
+    replay_seconds, (L0, U0) = _inprocess_replay_seconds(
+        a, res.batch_plan.batches, **kwargs)
+    assert np.array_equal(L0.data, ref.L.data)
+    assert np.array_equal(U0.data, ref.U.data)
+    rows.insert(0, ["in-proc", "-", res.batch_plan.n_tasks,
+                    len(res.batch_plan.batches), 0, 0.0, 0.0,
+                    replay_seconds * 1e3, "-",
+                    round(per_worker[1]["numeric_seconds"]
+                          / replay_seconds, 2)])
+    coordination = per_worker[1]["numeric_seconds"] - replay_seconds
 
     speedup_at_4 = (per_worker[1]["numeric_seconds"]
                     / per_worker[4]["numeric_seconds"])
@@ -95,11 +142,13 @@ def test_parallel_scaling(emit, benchmark):
     enforced = cpus >= 4
 
     emit("parallel_scaling", format_table(
-        ["workers", "grid", "tasks", "batches", "msgs", "numeric (ms)",
-         "speedup"],
+        ["workers", "grid", "tasks", "batches", "msgs", "boot_wait (ms)",
+         "plan (ms)", "numeric (ms)", "elidable/barriers", "speedup"],
         rows,
         title=f"Multiprocess numeric phase, poisson3d({nx}) b24 "
-              f"(bit-identical factors; {cpus} cpus)",
+              f"(bit-identical factors; {cpus} cpus; 1-worker "
+              f"coordination overhead {coordination * 1e3:.0f} ms over "
+              "the in-process replay of the same plan)",
     ))
 
     summary = {
@@ -111,6 +160,8 @@ def test_parallel_scaling(emit, benchmark):
             "shared_mem_total_bytes": BATCH_GPU.shared_mem_total_bytes,
         },
         "workers": per_worker,
+        "inprocess_replay_seconds": replay_seconds,
+        "coordination_overhead_seconds": coordination,
         "speedup_at_4": speedup_at_4,
         "gate": {
             "threshold": GATE_THRESHOLD,

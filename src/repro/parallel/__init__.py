@@ -6,8 +6,9 @@ schedule on N spawned worker processes over a
 :class:`~repro.parallel.shmem.SharedTileArena` — the pooled tile
 storage re-homed onto ``multiprocessing.shared_memory`` segments — with
 a coordinator (:class:`~repro.parallel.executor.ParallelExecutor`)
-driving the batch frontier, slicing each batch by owner-compute rank,
-and barriering between dependent batches.  Every dispatched plan is
+slicing each batch by owner-compute rank into one program per worker,
+and the workers stepping through the batches in lockstep on a shared
+barrier.  Every dispatched plan is
 conflict-scanned (``verify.effects``) and, by default, certified by
 ``PlanVerifier`` first; results are bit-identical to the single-process
 engine for any worker count.
@@ -17,6 +18,7 @@ from repro.parallel.executor import (
     ParallelExecutor,
     ParallelFactorization,
     WorkerCrashError,
+    elidable_barriers,
     message_accounting,
 )
 from repro.parallel.shmem import (
@@ -25,7 +27,7 @@ from repro.parallel.shmem import (
     SharedRhsSpec,
     SharedTileArena,
 )
-from repro.parallel.worker import TaskColumns, worker_main
+from repro.parallel.worker import TaskColumns, WorkerProgram, worker_main
 
 __all__ = [
     "ParallelExecutor",
@@ -36,6 +38,8 @@ __all__ = [
     "SharedTileArena",
     "TaskColumns",
     "WorkerCrashError",
+    "WorkerProgram",
+    "elidable_barriers",
     "message_accounting",
     "worker_main",
 ]

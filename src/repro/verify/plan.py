@@ -123,10 +123,11 @@ class PlanSpec:
     msg_scale:
         Message-size multiplier, matching ``DistributedSimulator``.
     lvl:
-        Optional per-task topological (longest-path) DAG level hint.
-        :meth:`from_dag` fills it from the level schedule so the
-        verifier's fast happens-before path skips recomputing it; the
-        verifier validates the hint before trusting it.
+        Optional per-task level hint: any labelling every DAG edge
+        strictly increases.  :meth:`from_dag` fills it from the level
+        schedule and :meth:`from_execution` from the batch index, so the
+        verifier's sweep gear skips recomputing it; the verifier
+        validates the hint before trusting it.
     """
 
     type_code: np.ndarray
@@ -161,17 +162,12 @@ class PlanSpec:
             raise ValueError("task rank outside the process grid")
 
     @classmethod
-    def from_dag(cls, dag, grid: ProcessGrid,
-                 faults: FaultSpec | None = None, gpu=None,
-                 mem_budget_bytes: float | None = None,
-                 msg_scale: float = 1.0) -> "PlanSpec":
-        """The plan ``DistributedSimulator`` would execute.
-
-        Ranks follow owner-compute (a task runs on the owner of its
-        output tile) and the per-rank program order is the canonical
-        level-schedule linearisation restricted to each rank — the
-        HB-consistent order every dynamic policy refines.
-        """
+    def _owner_compute(cls, dag, grid: ProcessGrid, key: np.ndarray,
+                       lvl: np.ndarray, faults: FaultSpec | None, gpu,
+                       mem_budget_bytes: float | None,
+                       msg_scale: float) -> "PlanSpec":
+        """Owner-compute plan over ``dag``: each rank runs the tasks
+        whose output tile it owns, in ascending ``key`` order."""
         arrays = dag.task_arrays()
         n = dag.n_tasks
         rank = (grid.owner_array(arrays.i, arrays.j) if n
@@ -180,21 +176,10 @@ class PlanSpec:
         prod = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         edges = (np.stack([prod, indices], axis=1) if indices.size
                  else np.empty((0, 2), dtype=np.int64))
-        lvl = np.zeros(n, dtype=np.int64)
-        if n:
-            levels = dag.level_schedule()
-            for d, ids in enumerate(levels):
-                lvl[ids] = d
-            lin = np.concatenate(levels)
-            lin_pos = np.empty(n, dtype=np.int64)
-            lin_pos[lin] = np.arange(n, dtype=np.int64)
-            by_rank = np.lexsort((lin_pos, rank))
-            bounds = np.searchsorted(rank[by_rank], np.arange(grid.nprocs + 1))
-            order = [by_rank[bounds[r]:bounds[r + 1]]
-                     for r in range(grid.nprocs)]
-        else:
-            order = [np.empty(0, dtype=np.int64)
-                     for _ in range(grid.nprocs)]
+        by_rank = np.lexsort((key, rank))
+        bounds = np.searchsorted(rank[by_rank], np.arange(grid.nprocs + 1))
+        order = [by_rank[bounds[r]:bounds[r + 1]]
+                 for r in range(grid.nprocs)]
         if mem_budget_bytes is None and gpu is not None:
             mem_budget_bytes = USABLE_FRACTION * gpu.memory_gb * 1e9
         return cls(
@@ -213,6 +198,29 @@ class PlanSpec:
         )
 
     @classmethod
+    def from_dag(cls, dag, grid: ProcessGrid,
+                 faults: FaultSpec | None = None, gpu=None,
+                 mem_budget_bytes: float | None = None,
+                 msg_scale: float = 1.0) -> "PlanSpec":
+        """The plan ``DistributedSimulator`` would execute.
+
+        Ranks follow owner-compute (a task runs on the owner of its
+        output tile) and the per-rank program order is the canonical
+        level-schedule linearisation restricted to each rank — the
+        HB-consistent order every dynamic policy refines.
+        """
+        n = dag.n_tasks
+        lvl = np.zeros(n, dtype=np.int64)
+        lin_pos = np.empty(n, dtype=np.int64)
+        if n:
+            levels = dag.level_schedule()
+            for d, ids in enumerate(levels):
+                lvl[ids] = d
+            lin_pos[np.concatenate(levels)] = np.arange(n, dtype=np.int64)
+        return cls._owner_compute(dag, grid, lin_pos, lvl, faults, gpu,
+                                  mem_budget_bytes, msg_scale)
+
+    @classmethod
     def from_execution(cls, dag, grid: ProcessGrid, batches,
                        faults: FaultSpec | None = None, gpu=None,
                        mem_budget_bytes: float | None = None,
@@ -225,22 +233,29 @@ class PlanSpec:
         its owner-slice in batch order — exactly how
         ``repro.parallel.ParallelExecutor`` drives its workers.  The
         batch sequence must cover every DAG task exactly once.
+
+        The level hint is each task's *batch index*: a dispatchable
+        sequence puts every DAG edge's consumer in a strictly later
+        batch than its producer (``verify_schedule`` checks exactly
+        that) and every rank's program order is non-decreasing in it by
+        construction, so the verifier's sweep gear applies.  A sequence
+        that breaks the first property fails the hint's validation and
+        is certified by the exact engine instead.
         """
-        base = cls.from_dag(dag, grid, faults=faults, gpu=gpu,
-                            mem_budget_bytes=mem_budget_bytes,
-                            msg_scale=msg_scale)
-        if dag.n_tasks:
-            flat = (np.concatenate([np.asarray(b, dtype=np.int64)
-                                    for b in batches])
-                    if len(batches) else np.empty(0, dtype=np.int64))
-            if (flat.size != dag.n_tasks
-                    or np.unique(flat).size != dag.n_tasks):
-                raise ValueError(
-                    "batch sequence does not cover the DAG exactly once")
-            owners = base.rank[flat]
-            order = [flat[owners == r] for r in range(grid.nprocs)]
-            return replace(base, order=order)
-        return base
+        n = dag.n_tasks
+        sizes = [len(b) for b in batches]
+        flat = (np.concatenate([np.asarray(b, dtype=np.int64)
+                                for b in batches])
+                if sizes else np.empty(0, dtype=np.int64))
+        if flat.size != n or np.unique(flat).size != n:
+            raise ValueError(
+                "batch sequence does not cover the DAG exactly once")
+        pos = np.empty(n, dtype=np.int64)
+        pos[flat] = np.arange(n, dtype=np.int64)
+        bidx = np.empty(n, dtype=np.int64)
+        bidx[flat] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        return cls._owner_compute(dag, grid, pos, bidx, faults, gpu,
+                                  mem_budget_bytes, msg_scale)
 
     def to_dict(self) -> dict:
         """Serialise to the :meth:`from_dict` golden-plan JSON payload.
@@ -342,6 +357,7 @@ class PlanVerifier:
 
     def __init__(self, plan: PlanSpec):
         self.plan = plan
+        self._gear: str | None = None
         p = plan
         self._fp: EffectFootprints = footprints_from_arrays(
             p.type_code, p.i, p.j, p.k, p.nb)
@@ -372,6 +388,13 @@ class PlanVerifier:
         # order is what the ranks actually execute
         p.rank[fv[keep]] = rv[keep]
         self._orders = [o[(o >= 0) & (o < n)] for o in orders]
+
+    @property
+    def gear(self) -> "str | None":
+        """Which happens-before engine the last :meth:`verify` chose:
+        ``"sweep"`` (:meth:`_hb_fast`, candidates confirmed exactly) or
+        ``"exact"`` (:meth:`_build_hb`); ``None`` before any run."""
+        return self._gear
 
     # ------------------------------------------------------------------
     # pass 1 · effect-footprint consistency
@@ -413,13 +436,14 @@ class PlanVerifier:
     # pass 2+3 · happens-before (vector clocks) and wait cycles
     # ------------------------------------------------------------------
     def _dag_levels(self):
-        """Longest-path level per task over the DAG edges alone.
+        """A per-task level every DAG edge strictly increases.
 
-        Returns ``None`` when the DAG edges themselves contain a cycle
-        (the exact engine then reports it).  A :attr:`PlanSpec.lvl`
-        hint is validated — every edge must strictly increase it —
-        before being trusted, so a corrupt hint degrades to a
-        recomputation, never to a wrong certificate.
+        A :attr:`PlanSpec.lvl` hint is validated — every edge must
+        strictly increase it — before being trusted, so a corrupt hint
+        degrades to a recomputation, never to a wrong certificate.
+        Without a valid hint the longest-path level over the DAG edges
+        is computed; ``None`` when those edges contain a cycle (the
+        exact engine then reports it).
         """
         p = self.plan
         n = p.n_tasks
@@ -459,14 +483,17 @@ class PlanVerifier:
         return lvl if seen == n else None
 
     def _order_level_monotone(self, lvl) -> bool:
-        """Is every rank's program order non-decreasing in DAG level?
+        """Is every rank's program order non-decreasing in ``lvl``?
 
         When it is (true by construction for :meth:`PlanSpec.from_dag`
-        plans, whose orders restrict the level schedule), the composite
-        HB graph is provably acyclic: sort tasks by ``(level, rank,
-        position)`` — DAG edges strictly increase the level and
-        program-order edges never decrease it while strictly increasing
-        the position, so no edge goes backwards.
+        plans, whose orders restrict the level schedule, and for
+        :meth:`PlanSpec.from_execution` plans, whose level is the batch
+        index), the composite HB graph is provably acyclic: sort tasks
+        by ``(level, rank, position)`` — DAG edges strictly increase
+        the level and program-order edges never decrease it while
+        strictly increasing the position, so no edge goes backwards.
+        The argument needs nothing of ``lvl`` beyond those two
+        properties, so any validated hint serves.
         """
         for o in self._orders:
             if o.size > 1 and bool(np.any(np.diff(lvl[o]) < 0)):
@@ -519,8 +546,10 @@ class PlanVerifier:
         if not self._dupes and not self._unknown:
             lvl = self._dag_levels()
             if lvl is not None and self._order_level_monotone(lvl):
+                self._gear = "sweep"
                 vc, live = self._hb_fast(lvl)
                 return vc, live, False
+        self._gear = "exact"
         vc, live = self._build_hb(out)
         return vc, live, True
 

@@ -276,3 +276,72 @@ class TestCoordinator:
                                          block_size=24).factorize()
         assert np.array_equal(
             x, ref.solve(b, batch_solve=True, solve_scheduler="trojan"))
+
+    def test_solve_plans_checked_once_per_shape(self, problem, monkeypatch):
+        # record + conflict-scan + certify once per (triangle, RHS
+        # width); later solves of the same shape only dispatch
+        import repro.parallel.executor as pex
+
+        a, b = problem
+        calls = []
+        real = pex.verify_plan
+        monkeypatch.setattr(
+            pex, "verify_plan",
+            lambda spec, subject="plan": (calls.append(subject),
+                                          real(spec, subject=subject))[1])
+        rng = np.random.default_rng(2)
+        with ParallelExecutor(a, workers=2, block_size=24) as ex:
+            ex.factorize()
+            xs = [ex.solve(b)]
+            per_solve = ex.solve_messages
+            xs += [ex.solve(b), ex.solve(b)]
+            # traffic is still accounted per solve, not per plan
+            assert per_solve > 0 and ex.solve_messages == 3 * per_solve
+            ex.solve(rng.standard_normal((a.nrows, 2)))
+            xs.append(ex.solve(b))
+        assert all(np.array_equal(x, xs[0]) for x in xs)
+        assert sorted(calls) == sorted(
+            ["parallel/pangulu/factor"]
+            + ["parallel/pangulu/solve-L", "parallel/pangulu/solve-U"] * 2)
+
+
+def _fewest_barriers(dag, owner, batches):
+    """Reference for ``elidable_barriers``: stab every cross-owner
+    edge's batch interval with as few barriers as possible (classic
+    greedy by right endpoint), one Python step per edge."""
+    where = np.empty(dag.n_tasks, dtype=np.int64)
+    for b, tids in enumerate(batches):
+        where[tids] = b
+    spans = sorted(
+        {(int(where[t]), int(where[s]))
+         for t in range(dag.n_tasks) for s in dag.successors[t]
+         if owner[t] != owner[s]}, key=lambda span: span[1])
+    kept, last = 0, -1
+    for lo, hi in spans:
+        if not lo <= last < hi:
+            last = hi - 1
+            kept += 1
+    return kept
+
+
+class TestPhaseAccounting:
+    def test_phase_seconds_keys(self, runs):
+        for w, (res, _) in runs.items():
+            assert {"spawn", "reorder", "symbolic", "plan", "boot_wait",
+                    "numeric"} <= set(res.phase_seconds), w
+            assert all(v >= 0.0 for v in res.phase_seconds.values())
+
+    def test_barrier_counts(self, runs):
+        from repro.parallel import elidable_barriers
+
+        for w, (res, _) in runs.items():
+            batches = res.batch_plan.batches
+            arrays = res.dag.task_arrays()
+            owner = res.grid.owner_array(arrays.i, arrays.j)
+            assert res.barriers == len(batches) - 1
+            assert res.elidable_barriers == elidable_barriers(
+                res.dag, owner, batches)
+            assert res.elidable_barriers == res.barriers - _fewest_barriers(
+                res.dag, owner, batches)
+            if w == 1:
+                assert res.elidable_barriers == res.barriers

@@ -8,6 +8,7 @@ the static/dynamic twin contract: every dynamic adversarial catch is
 either caught statically or documented ``DYNAMIC_ONLY``.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -419,3 +420,140 @@ class TestExecutionGolden:
         batches = [b for b in executed.batch_plan.batches[:-1]]
         with pytest.raises(ValueError, match="exactly once"):
             PS.from_execution(executed.dag, executed.grid, batches)
+
+
+# ---------------------------------------------------------------------
+# the two happens-before gears certify identically
+# ---------------------------------------------------------------------
+class _ExactVerifier(PlanVerifier):
+    """The reference: hint removed, exact Kahn-peel engine forced."""
+
+    def __init__(self, plan):
+        super().__init__(dataclasses.replace(plan, lvl=None))
+
+    def _order_level_monotone(self, lvl) -> bool:
+        return False
+
+
+def _golden_plan_payloads():
+    """Every golden JSON that ``PlanSpec.from_dict`` loads: all of
+    ``plans/`` and whichever ``adversarial/`` cases carry a plan-shaped
+    body (schedule mutations and raw traces do not parse as plans)."""
+    out = []
+    for path in PLAN_CASES + ADVERSARIAL:
+        case = json.loads(path.read_text(encoding="utf-8"))
+        body = case.get("plan") or case.get("trace")
+        try:
+            PlanSpec.from_dict(body)
+        except (KeyError, TypeError, ValueError):
+            continue
+        out.append(pytest.param(body, id=f"{path.parent.name}-{path.stem}"))
+    return out
+
+
+def _swap_dependent(dag, batches):
+    """Swap the first two batches joined by a DAG edge."""
+    where = np.empty(dag.n_tasks, dtype=np.int64)
+    for b, tids in enumerate(batches):
+        where[tids] = b
+    indptr, succ = dag.successor_csr()
+    prod = np.repeat(np.arange(dag.n_tasks), np.diff(indptr))
+    e = int(np.argmin(where[succ] - where[prod]))
+    lo, hi = int(where[prod[e]]), int(where[succ[e]])
+    out = list(batches)
+    out[lo], out[hi] = out[hi], out[lo]
+    return out
+
+
+class TestGearsAgree:
+    """The sweep gear is an optimisation, never a second opinion: for
+    clean and racy plans alike its report equals the exact engine's,
+    code for code and task id for task id."""
+
+    #: (solver, kwargs) — the substrates the parallel engine dispatches
+    SUBSTRATES = [("pangulu", {"block_size": 24}),
+                  ("superlu", {"max_supernode": 16, "merge_schur": False})]
+
+    @staticmethod
+    def assert_same_report(plan, expect_gear=None):
+        fast = PlanVerifier(plan)
+        got = fast.verify()
+        exact = _ExactVerifier(plan)
+        want = exact.verify()
+        assert exact.gear == "exact"
+        if expect_gear is not None:
+            assert fast.gear == expect_gear
+        assert got.checks == want.checks
+        assert got.violations == want.violations
+        return got
+
+    @pytest.fixture(scope="class", params=SUBSTRATES,
+                    ids=[s for s, _ in SUBSTRATES])
+    def dags(self, request):
+        """Factor, L-solve and U-solve DAGs of one substrate, each with
+        the batch sequence the parallel coordinator would record."""
+        from repro.core.executor import record_batch_plan
+        from repro.gpusim import RTX5090, GPUCostModel
+        from repro.solvers import SOLVER_REGISTRY
+
+        solver, kwargs = request.param
+        res = SOLVER_REGISTRY[solver](poisson2d(12), scheduler="trojan",
+                                      **kwargs).factorize()
+        model = GPUCostModel(RTX5090)
+        out = [(res.dag, record_batch_plan(res.dag, model).batches)]
+        for ctx in res.solve_contexts():
+            sdag = ctx.dag_for(1)
+            out.append((sdag, record_batch_plan(sdag, model,
+                                                solve=True).batches))
+        return out
+
+    @pytest.mark.parametrize("payload", _golden_plan_payloads())
+    def test_golden_plans(self, payload):
+        self.assert_same_report(PlanSpec.from_dict(payload))
+
+    @pytest.mark.parametrize("nprocs", [1, 2, 4])
+    def test_execution_plans_take_the_sweep_gear(self, dags, nprocs):
+        for sdag, batches in dags:
+            plan = PlanSpec.from_execution(sdag, ProcessGrid(nprocs),
+                                           batches)
+            report = self.assert_same_report(plan, expect_gear="sweep")
+            assert report.ok, report.describe()
+
+    @pytest.mark.parametrize("nprocs", [2, 4])
+    def test_racy_mutations(self, dags, nprocs):
+        grid = ProcessGrid(nprocs)
+        for sdag, batches in dags:
+            swapped = PlanSpec.from_execution(
+                sdag, grid, _swap_dependent(sdag, batches))
+            collapsed = PlanSpec.from_execution(
+                sdag, grid, [np.concatenate(batches)])
+            clean = PlanSpec.from_execution(sdag, grid, batches)
+            busiest = int(np.argmax([o.size for o in clean.order]))
+            clean.order[busiest] = clean.order[busiest][::-1].copy()
+            for plan in (swapped, collapsed, clean):
+                self.assert_same_report(plan)
+            if nprocs > 1 and len(batches) > 1:
+                # every cross-rank message dropped: hint and orders stay
+                # well-formed, so the races are *found* on the sweep
+                # gear and confirmed on the exact one
+                full = PlanSpec.from_execution(sdag, grid, batches)
+                local = full.rank[full.edges[:, 0]] \
+                    == full.rank[full.edges[:, 1]]
+                silent = dataclasses.replace(full, edges=full.edges[local])
+                report = self.assert_same_report(silent,
+                                                 expect_gear="sweep")
+                assert rep.PLAN_RACE_RW in report.codes()
+
+    def test_bad_hint_is_recomputed_not_trusted(self, dags):
+        sdag, batches = dags[0]
+        plan = PlanSpec.from_execution(sdag, ProcessGrid(2), batches)
+        prod, cons = plan.edges[0]
+        bad = plan.lvl.copy()
+        bad[cons] = bad[prod]  # one edge no longer increases the hint
+        hinted = PlanVerifier(dataclasses.replace(plan, lvl=bad))
+        lvl = hinted._dag_levels()
+        assert not np.array_equal(lvl, bad)
+        assert (lvl[plan.edges[:, 1]] > lvl[plan.edges[:, 0]]).all()
+        report = self.assert_same_report(
+            dataclasses.replace(plan, lvl=bad))
+        assert report.ok, report.describe()
