@@ -47,11 +47,12 @@ def test_distsim_fault_inflation(runs, emit, benchmark):
     _, run = runs("c-71", "pangulu")
     dag, backend = run.dag, ReplayBackend(run.stats)
 
-    legacy = {p: DistributedSimulator(dag, backend, H100_CLUSTER, NPROCS,
-                                      p).run() for p in POLICIES}
-    # inflation baseline is the fault path's own lossless cell: the
-    # legacy loop breaks simultaneous-ready ties differently (DESIGN.md
-    # §2 "Fault injection"), which is noise we don't want in the ratios
+    lossless = {p: DistributedSimulator(dag, backend, H100_CLUSTER, NPROCS,
+                                        p).run() for p in POLICIES}
+    # inflation baseline is the fault loop's own empty-spec cell: the
+    # lossless loop counts predecessors at send time and so breaks
+    # simultaneous-ready ties differently (DESIGN.md §2 "Fault
+    # injection"), which is noise we don't want in the ratios
     base = {p: _simulate(dag, backend, p, FaultSpec(seed=SEED)).makespan
             for p in POLICIES}
 
@@ -103,7 +104,8 @@ def test_distsim_fault_inflation(runs, emit, benchmark):
         "matrix": "c-71", "nprocs": NPROCS, "seed": SEED,
         "bench_scale": BENCH_SCALE,
         "baseline_makespan_s": {p: base[p] for p in POLICIES},
-        "legacy_makespan_s": {p: legacy[p].makespan for p in POLICIES},
+        "lossless_loop_makespan_s": {p: lossless[p].makespan
+                                     for p in POLICIES},
         "cells": cells,
     }
     RESULTS_DIR.mkdir(exist_ok=True)

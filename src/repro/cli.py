@@ -272,11 +272,18 @@ def cmd_distsim(args) -> int:
     from repro.core.executor import EstimateBackend
     from repro.verify.trace import verify_trace
 
+    if args.gpus < 1:
+        raise SystemExit(f"--gpus must be >= 1, got {args.gpus}")
+    if args.seed is not None and not args.faults:
+        raise SystemExit("--seed reseeds the fault spec; it needs --faults")
     if args.synthetic:
         try:
             nb, bw = (int(x) for x in args.synthetic.lower().split("x"))
+            if nb < 1 or bw < 0:
+                raise ValueError(args.synthetic)
         except ValueError:
-            raise SystemExit("--synthetic wants NBxBW, e.g. 128x8")
+            raise SystemExit("--synthetic wants NBxBW with NB >= 1 and "
+                             "BW >= 0, e.g. 128x8")
         dag, backend = banded_block_dag(nb, bw), EstimateBackend()
         workload = f"banded {nb}x{bw}"
     else:
@@ -289,14 +296,18 @@ def cmd_distsim(args) -> int:
         workload = args.solver
     spec = None
     if args.faults:
-        spec = FaultSpec.from_json(args.faults)
+        try:
+            spec = FaultSpec.from_json(args.faults)
+        except OSError as exc:
+            raise SystemExit(f"--faults: cannot read {args.faults}: "
+                             f"{exc.strerror}")
         if args.seed is not None:
             spec = spec.with_seed(args.seed)
     want_trace = bool(args.verify or args.trace_out or args.out)
     res = DistributedSimulator(
         dag, backend, CLUSTERS[args.cluster],
         args.gpus, args.policy, record_trace=want_trace,
-        faults=spec, engine=args.engine, certify=args.certify).run()
+        faults=spec, certify=args.certify).run()
     summary = res.summary()
     rows = []
     for k, v in summary.items():
@@ -619,10 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--certify", action="store_true",
                    help="statically certify the whole plan (races, wait "
                         "cycles, liveness, memory) before simulating")
-    d.add_argument("--engine", default=None,
-                   choices=("arena", "legacy"),
-                   help="event engine (default: arena, or "
-                        "REPRO_DISTSIM_LEGACY=1 for the heap loop)")
     d.add_argument("--synthetic", default=None, metavar="NBxBW",
                    help="banded synthetic workload (e.g. 128x8) with "
                         "estimated costs — skips the matrix entirely, "

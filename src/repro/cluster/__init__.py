@@ -31,12 +31,7 @@ from repro.cluster.network import (
     H100_CLUSTER,
     MI50_CLUSTER,
 )
-from repro.cluster.distsim import (
-    DistributedSimulator,
-    DistributedResult,
-    ENGINES,
-    default_engine,
-)
+from repro.cluster.distsim import DistributedSimulator, DistributedResult
 from repro.cluster.eventarena import EventArena, EventLoopStats
 from repro.cluster.synthetic import banded_block_dag
 from repro.cluster.faults import (
@@ -67,8 +62,6 @@ __all__ = [
     "MI50_CLUSTER",
     "DistributedSimulator",
     "DistributedResult",
-    "ENGINES",
-    "default_engine",
     "EventArena",
     "EventLoopStats",
     "banded_block_dag",

@@ -15,44 +15,20 @@ DESIGN.md §3.
 
 from __future__ import annotations
 
-import heapq
-import math
-import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.eventarena import EventLoopStats
 from repro.cluster.faults import FaultSpec, FaultStats
 from repro.cluster.grid import ProcessGrid
-from repro.cluster.memory import USABLE_FRACTION, factor_bytes_per_rank
 from repro.cluster.network import ClusterSpec
-from repro.core.collector import Collector
-from repro.core.container import Container
 from repro.core.dag import TaskDAG
-from repro.core.executor import ExecutionBackend, Executor
-from repro.core.prioritizer import Prioritizer
-from repro.core.task import TaskType
-from repro.gpusim.costmodel import GPUCostModel, KernelLaunch
-from repro.verify.trace import DistTrace, SendRecord
+from repro.core.executor import ExecutionBackend
+from repro.verify.trace import DistTrace
 
 POLICIES = ("serial", "streams", "trojan", "dmdas")
 """Per-process scheduling policies supported by the simulator."""
-
-ENGINES = ("arena", "legacy")
-"""Event-loop engines: the vectorized calendar-queue arena (default) and
-the kept per-message heap loop (the differential oracle)."""
-
-
-def default_engine() -> str:
-    """Engine used when ``DistributedSimulator(engine=None)``.
-
-    ``REPRO_DISTSIM_LEGACY=1`` routes through the per-message heap loop
-    (the differential oracle); anything else selects the arena engine.
-    """
-    flag = os.environ.get("REPRO_DISTSIM_LEGACY", "0").strip().lower()
-    return "legacy" if flag in ("1", "true", "yes", "on") else "arena"
 
 
 @dataclass
@@ -76,8 +52,8 @@ class DistributedResult:
     trace: DistTrace | None = None
     #: Fault accounting (``faults=FaultSpec(...)`` runs only).
     faults: FaultStats | None = None
-    #: Event-loop counters (which engine ran, events processed, cohort
-    #: sizes, peak queue depth, events/sec).
+    #: Event-loop counters (events processed, cohort sizes, peak queue
+    #: depth, events/sec).
     events: EventLoopStats | None = None
 
     def __post_init__(self) -> None:
@@ -126,231 +102,6 @@ class DistributedResult:
         return out
 
 
-class _ProcState:
-    """Scheduler state of one simulated process."""
-
-    def __init__(self, rank: int, policy: str, dag: TaskDAG,
-                 model: GPUCostModel, backend: ExecutionBackend,
-                 cp: np.ndarray, n_streams: int = 4, slowdown=None):
-        self.rank = rank
-        self.policy = policy
-        self.dag = dag
-        self.model = model
-        self.backend = backend
-        self.executor = Executor(model, backend)
-        self.kernels = 0
-        self.busy = 0.0
-        #: latency stretch ``t -> factor`` (straggler injection); the
-        #: default identity factor keeps fault-free timing bit-exact
-        self.slowdown = slowdown or (lambda _t: 1.0)
-        #: task ids launched but not yet completed (fault path only —
-        #: a rank death loses exactly this set)
-        self.running: set[int] = set()
-        if policy == "trojan":
-            self.prio = Prioritizer(dag, cp)
-            self.container = Container()
-            self.collector = Collector(model.gpu)
-            self.busy_until = 0.0
-            # Algorithm 1 launches batches with GPU.AsyncExecutor: the CPU
-            # may prepare and enqueue the next batch while one executes
-            # (double buffering); the GPU itself runs batches in order
-            self.gpu_free = 0.0
-            self.inflight = 0
-        elif policy in ("serial", "dmdas"):
-            self.heap: list[tuple[int, int, int]] = []
-            self.cp = cp
-            self.busy_until = 0.0
-        elif policy == "streams":
-            self.heap = []
-            self.cp = cp
-            self.clocks = [0.0] * n_streams
-            self.device_clock = 0.0    # SM time shared across streams
-            self.dispatch_clock = 0.0  # CPU submission serialised
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
-
-    # -- ready bookkeeping ------------------------------------------------
-    def add_ready(self, tid: int) -> None:
-        task = self.dag.tasks[tid]
-        if self.policy == "trojan":
-            self.prio.push_ready(tid)
-        elif self.policy == "dmdas":
-            heapq.heappush(self.heap, (-int(self.cp[tid]), task.k, tid))
-        else:
-            heapq.heappush(self.heap, (task.distance, task.k, tid))
-
-    def has_ready(self) -> bool:
-        if self.policy == "trojan":
-            return self.prio.has_ready or not self.container.is_empty
-        return bool(self.heap)
-
-    # -- timing hooks -----------------------------------------------------
-    # The arena engine's _FastProcState overrides these two with
-    # precomputed-array fast paths (repro.cluster.engine); the launch
-    # methods below are shared by both engines, so the scheduling logic
-    # cannot drift between them.
-    def _run_batch_time(self, tids: list[int],
-                        t_start: float) -> tuple[float, int]:
-        """Simulated ``(duration, flops)`` of launching ``tids`` at
-        ``t_start``.
-
-        The duration is ``(t_start + launch_time) - t_start`` — the
-        subtraction is part of the contract (``BatchRecord.duration``
-        computes exactly that), and fast paths must reproduce its
-        floating-point rounding to stay bit-identical.
-        """
-        record = self.executor.run_batch(
-            [self.dag.tasks[x] for x in tids], t_start)
-        return record.duration, record.flops
-
-    def _task_body_time(self, tid: int) -> tuple[float, int]:
-        """Kernel-body seconds (launch time minus overhead) and flops of
-        one task — the streams policy's dispatch/body split."""
-        task = self.dag.tasks[tid]
-        stats = self.backend.run_task(task, False)
-        launch = KernelLaunch()
-        launch.add_task(task.cuda_blocks, stats.flops, stats.bytes,
-                        task.shared_mem_bytes)
-        overhead = self.model.gpu.launch_overhead_us * 1e-6
-        return self.model.launch_time(launch) - overhead, stats.flops
-
-    def _pop_ready(self) -> int:
-        """Pop the highest-priority queued task id (serial/dmdas/streams)."""
-        return heapq.heappop(self.heap)[2]
-
-    # -- launching --------------------------------------------------------
-    def launch(self, t: float) -> list[tuple[float, float, list[int], int]]:
-        """Start work at time ``t`` if the policy allows.
-
-        Returns a list of ``(start, end, task_ids, flops)`` launches.
-        """
-        if self.policy == "streams":
-            return self._launch_streams(t)
-        if self.policy == "trojan":
-            return self._launch_trojan(t)
-        if self.busy_until > t or not self.has_ready():
-            return []
-        tids = [self._pop_ready()]
-        dur, flops = self._run_batch_time(tids, t)
-        end = t + dur * self.slowdown(t)
-        self.busy_until = end
-        self.busy += end - t
-        self.kernels += 1
-        return [(t, end, tids, flops)]
-
-    def _launch_trojan(self, t: float) -> list[tuple[float, float, list[int], int]]:
-        out = []
-        while self.inflight < 2 and self.has_ready():
-            tids = self._form_trojan_batch()
-            if self.inflight >= 1 and not self.collector.is_full:
-                # GPU busy with a batch already queued behind it: keep
-                # aggregating instead of enqueueing a partial batch —
-                # push the formed tasks back and wait for a completion
-                for tid in tids:
-                    self.prio.push_ready(tid)
-                break
-            start = max(t, self.gpu_free)
-            dur, flops = self._run_batch_time(tids, start)
-            end = start + dur * self.slowdown(t)
-            self.gpu_free = end
-            self.inflight += 1
-            self.busy += end - start
-            self.kernels += 1
-            out.append((start, end, tids, flops))
-        return out
-
-    def on_done(self) -> None:
-        """A previously-enqueued batch finished (async-executor slot free)."""
-        if self.policy == "trojan":
-            self.inflight -= 1
-
-    def _form_trojan_batch(self) -> list[int]:
-        coll = self.collector
-        coll.reset()
-        prio, cont, dag = self.prio, self.container, self.dag
-        prio.begin_round()
-        while prio.has_ready:
-            tid = prio.pop_most_urgent()
-            task = dag.tasks[tid]
-            if prio.is_critical(tid):
-                if not coll.try_push(task):
-                    cont.push(task, urgent=True)
-                    for other in prio.drain():
-                        cont.push(dag.tasks[other])
-                    break
-            else:
-                cont.push(task)
-        while not coll.is_full and not cont.is_empty:
-            task = dag.tasks[cont.peek()]
-            if coll.try_push(task):
-                cont.pop()
-            else:
-                break
-        if coll.is_empty:
-            raise AssertionError("trojan process stalled with ready work")
-        return [task.tid for task in coll.tasks]
-
-    def _launch_streams(self, t: float) -> list[tuple[float, float, list[int], int]]:
-        out = []
-        overhead = self.model.gpu.launch_overhead_us * 1e-6
-        dispatch = self.model.gpu.dispatch_serial_us * 1e-6
-        while self.heap:
-            free = [s for s in range(len(self.clocks)) if self.clocks[s] <= t]
-            if not free:
-                break
-            s = free[0]
-            tid = self._pop_ready()
-            raw, flops = self._task_body_time(tid)
-            issue = max(t, self.dispatch_clock)
-            self.dispatch_clock = issue + dispatch
-            body = raw * self.slowdown(t)
-            start = max(issue + overhead, self.device_clock)
-            end = start + body
-            self.clocks[s] = end
-            self.device_clock = end
-            self.busy += end - t
-            self.kernels += 1
-            out.append((t, end, [tid], flops))
-        return out
-
-    def drain_pending(self) -> list[int]:
-        """Remove and return every queued-but-unlaunched task id.
-
-        Rank death re-homes this backlog onto the recovery rank; tasks
-        already *running* are in :attr:`running`, not here.
-        """
-        if self.policy == "trojan":
-            out = list(self.prio.drain())
-            while not self.container.is_empty:
-                out.append(self.container.pop())
-            return out
-        out = [entry[2] for entry in self.heap]
-        self.heap.clear()
-        return out
-
-    def next_wake(self, t: float) -> float | None:
-        """Earliest future time this process could start new work.
-
-        Wakes are coalesced (one pending wake per process) and only
-        cover *scheduler* stalls — a busy device with queued work.
-        Retransmit deadlines must never be expressed as process wakes: a
-        rank waiting on a lost message has no ready tasks, so its wake
-        would be ``None`` and the coalescing would silently swallow the
-        timer.  The fault path therefore keeps every retransmit timer as
-        a first-class event on the global heap.
-        """
-        if self.policy == "streams":
-            pending = [c for c in self.clocks if c > t]
-            return min(pending) if pending and self.heap else None
-        if self.policy == "trojan":
-            # async executor: launches happen on arrivals and batch
-            # completions; no timed wake needed
-            return None
-        if self.busy_until > t and self.has_ready():
-            return self.busy_until
-        return None
-
-
 class DistributedSimulator:
     """Event-driven cluster-level factorisation simulation.
 
@@ -374,14 +125,7 @@ class DistributedSimulator:
         Optional :class:`~repro.cluster.faults.FaultSpec`; when given,
         the run injects lossy links, stragglers and rank deaths,
         deterministically from the spec's seed, via the extended event
-        loop (:meth:`_run_faulty`).
-    engine:
-        ``"arena"`` (vectorized calendar-queue engine,
-        :mod:`repro.cluster.engine`) or ``"legacy"`` (the kept
-        per-message heap loop).  ``None`` follows the
-        ``REPRO_DISTSIM_LEGACY`` knob (default: arena).  Both engines
-        produce bit-identical results — traces, digests, summaries —
-        for the same inputs; the legacy loop is the differential oracle.
+        loop (:func:`repro.cluster.engine.run_arena_faulty`).
     """
 
     def __init__(self, dag: TaskDAG, backend: ExecutionBackend,
@@ -391,7 +135,6 @@ class DistributedSimulator:
                  record_trace: bool = False,
                  msg_scale: float = 1.0,
                  faults: FaultSpec | None = None,
-                 engine: str | None = None,
                  certify: bool = False):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -401,12 +144,6 @@ class DistributedSimulator:
             raise ValueError("msg_scale must be positive")
         if faults is not None:
             faults.validate(nprocs)
-        if engine is None:
-            engine = default_engine()
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}")
-        self.engine = engine
         self.faults = faults
         self.dag = dag
         self.backend = backend
@@ -428,19 +165,16 @@ class DistributedSimulator:
         #: :mod:`repro.verify.plan` before the first event fires
         self.certify = certify
 
-    def owner_of_task(self, tid: int) -> int:
-        """Rank executing a task = owner of its output tile."""
-        task = self.dag.tasks[tid]
-        return self.grid.owner(task.i, task.j)
-
     def run(self) -> DistributedResult:
         """Simulate the whole factorisation; returns cluster-level stats.
 
-        Dispatches to the selected event engine.  Fault-free runs use
-        the lean lossless loop; a :class:`FaultSpec` switches to the
-        extended loop with per-edge delivery tracking, retransmit timers
-        and death/recovery events — in both engines.
+        Fault-free runs use the lean lossless loop; a
+        :class:`FaultSpec` switches to the extended loop with per-edge
+        delivery tracking, retransmit timers and death/recovery events.
         """
+        # lazy import: repro.cluster.engine imports DistributedResult
+        from repro.cluster.engine import run_arena, run_arena_faulty
+
         if self.certify:
             # lazy import: repro.verify.plan imports repro.cluster
             from repro.verify.plan import PlanSpec, verify_plan
@@ -450,537 +184,6 @@ class DistributedSimulator:
                     self.dag, self.grid, faults=self.faults,
                     gpu=self.cluster.gpu, msg_scale=self.msg_scale),
                 subject="distsim-plan").raise_if_violations()
-        if self.engine == "arena":
-            from repro.cluster.engine import run_arena, run_arena_faulty
-
-            if self.faults is not None:
-                return run_arena_faulty(self)
-            return run_arena(self)
         if self.faults is not None:
-            return self._run_faulty()
-        return self._run_legacy()
-
-    def _run_legacy(self) -> DistributedResult:
-        """The per-message heap event loop (the differential oracle)."""
-        dag = self.dag
-        model = GPUCostModel(self.cluster.gpu)
-        cp = dag.critical_path_lengths()
-        procs = [
-            _ProcState(r, self.policy, dag, model, self.backend, cp)
-            for r in range(self.nprocs)
-        ]
-        pred = dag.pred_count.copy()
-        arrival = np.zeros(dag.n_tasks)
-        events: list[tuple[float, int, str, int, object]] = []
-        seq = 0
-        loop_stats = EventLoopStats(engine="legacy", max_cohort=1)
-        t_wall = time.perf_counter()
-
-        def push_event(t: float, kind: str, rank: int, payload) -> None:
-            nonlocal seq
-            heapq.heappush(events, (t, seq, kind, rank, payload))
-            seq += 1
-            if len(events) > loop_stats.peak_depth:
-                loop_stats.peak_depth = len(events)
-
-        for tid in dag.initial_ready():
-            push_event(0.0, "ready", self.owner_of_task(tid), tid)
-
-        # at most one pending wake per process — without this, every
-        # arrival during a busy period schedules another wake at the same
-        # instant and the event loop degenerates to O(events × backlog)
-        wake_pending = [float("inf")] * self.nprocs
-
-        done_tasks = 0
-        messages = 0
-        comm_bytes = 0
-        makespan = 0.0
-        total_flops = 0
-        timeline = [] if self.record_timeline else None
-        tracing = self.record_trace
-        if tracing:
-            task_t_start = np.full(dag.n_tasks, -1.0)
-            task_t_done = np.full(dag.n_tasks, -1.0)
-            send_log: list[SendRecord] = []
-
-        def propagate(t_done: float, tids: list[int]) -> None:
-            nonlocal messages, comm_bytes
-            for tid in tids:
-                src = self.owner_of_task(tid)
-                out_bytes = int(8 * dag.tasks[tid].nnz * self.msg_scale)
-                for s in dag.successors[tid]:
-                    dst = self.owner_of_task(s)
-                    delay = self.cluster.message_time(src, dst, out_bytes)
-                    if src != dst:
-                        messages += 1
-                        comm_bytes += out_bytes
-                    arr = t_done + delay
-                    if src != dst and tracing:
-                        send_log.append(SendRecord(
-                            tid=tid, succ=int(s), src=src, dst=dst,
-                            t_send=t_done, t_recv=arr, nbytes=out_bytes))
-                    if arr > arrival[s]:
-                        arrival[s] = arr
-                    pred[s] -= 1
-                    if pred[s] == 0:
-                        push_event(arrival[s], "ready", dst, s)
-
-        while events:
-            t, _, kind, rank, payload = heapq.heappop(events)
-            loop_stats.events += 1
-            proc = procs[rank]
-            if t >= wake_pending[rank]:
-                wake_pending[rank] = float("inf")
-            if kind == "ready":
-                proc.add_ready(int(payload))
-            elif kind == "done":
-                proc.on_done()
-                done_tasks += len(payload)
-                propagate(t, payload)
-                makespan = max(makespan, t)
-            # try to start work wherever this event may have freed/added it
-            for start, end, tids, flops in proc.launch(t):
-                total_flops += flops
-                if timeline is not None:
-                    timeline.append((rank, start, end, list(tids)))
-                if tracing:
-                    task_t_start[tids] = start
-                    task_t_done[tids] = end
-                push_event(end, "done", rank, tids)
-            wake = proc.next_wake(t)
-            if wake is not None and wake < wake_pending[rank]:
-                wake_pending[rank] = wake
-                push_event(wake, "wake", rank, None)
-
-        loop_stats.cohorts = loop_stats.events
-        loop_stats.wall_s = time.perf_counter() - t_wall
-        if done_tasks != dag.n_tasks:
-            raise AssertionError(
-                f"distributed sim finished {done_tasks}/{dag.n_tasks} tasks"
-            )
-        trace = None
-        if tracing:
-            indptr, indices = dag.successor_csr()
-            producer = np.repeat(np.arange(dag.n_tasks, dtype=np.int64),
-                                 np.diff(indptr))
-            edges = np.stack(
-                [producer, indices.astype(np.int64)], axis=1
-            ) if indices.size else np.empty((0, 2), dtype=np.int64)
-            task_rank = np.fromiter(
-                (self.owner_of_task(t) for t in range(dag.n_tasks)),
-                dtype=np.int64, count=dag.n_tasks)
-            trace = DistTrace(
-                nprocs=self.nprocs,
-                rank=task_rank,
-                t_start=task_t_start,
-                t_done=task_t_done,
-                edges=edges,
-                sends=send_log,
-                per_rank_bytes=factor_bytes_per_rank(dag, self.grid),
-                mem_budget_bytes=USABLE_FRACTION
-                * self.cluster.gpu.memory_gb * 1e9,
-            )
-        return DistributedResult(
-            cluster=self.cluster.name,
-            policy=self.policy,
-            nprocs=self.nprocs,
-            makespan=makespan,
-            total_tasks=dag.n_tasks,
-            total_kernels=sum(p.kernels for p in procs),
-            total_flops=total_flops,
-            per_proc_kernels=[p.kernels for p in procs],
-            per_proc_busy=[p.busy for p in procs],
-            messages=messages,
-            comm_bytes=comm_bytes,
-            timeline=timeline,
-            trace=trace,
-            events=loop_stats,
-        )
-
-    def _run_faulty(self) -> DistributedResult:
-        """Event loop with fault injection (``faults`` was given).
-
-        Differences from the lossless loop:
-
-        * every DAG edge is tracked individually — a predecessor count
-          drops at payload *arrival* (a ``deliver`` event), not at send
-          time, so deliveries can be undone when a rank dies;
-        * cross-rank shipments go through ``xmit`` events that draw
-          drop/duplication outcomes from the spec's seeded RNG and
-          schedule retransmits with exponential backoff.  Retransmit
-          timers live on the global event heap, never as per-process
-          wakes — ``_ProcState.next_wake`` coalescing would swallow a
-          timer on a rank with no ready work;
-        * a ``death`` event marks the rank dead, re-homes its tile
-          ownership onto a recovery rank, restores the last periodic
-          checkpoint there (task outputs and received payloads up to the
-          checkpoint survive; everything later is re-executed or
-          re-delivered) and re-queues the lost work after
-          ``recovery_delay``.
-
-        Everything stochastic comes from one ``numpy`` Generator drawn
-        in deterministic event order, so identical (spec, seed) pairs
-        reproduce bit-identical traces.
-        """
-        dag = self.dag
-        spec = self.faults
-        link = spec.link
-        drop_table = link.drop_table()
-        model = GPUCostModel(self.cluster.gpu)
-        cp = dag.critical_path_lengths()
-        rng = np.random.default_rng(spec.seed)
-        fstats = FaultStats()
-        nprocs = self.nprocs
-        n = dag.n_tasks
-        procs = [
-            _ProcState(r, self.policy, dag, model, self.backend, cp,
-                       slowdown=(lambda t, _r=r: spec.slowdown(_r, t)))
-            for r in range(nprocs)
-        ]
-
-        # per-edge delivery state (CSR edge ids over successor lists)
-        indptr, indices = dag.successor_csr()
-        e_cons = indices.astype(np.int64)
-        e_prod = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        n_edges = e_cons.size
-        edge_recv = np.full(n_edges, -1.0)     # arrival time, -1 = not yet
-        edge_dst = np.full(n_edges, -1, dtype=np.int64)
-        edge_epoch = np.zeros(n_edges, dtype=np.int64)  # cancellation token
-
-        # task lifecycle: 0 idle, 1 queued, 2 running, 3 done
-        state = np.zeros(n, dtype=np.int8)
-        exec_rank = np.full(n, -1, dtype=np.int64)
-        done_at = np.full(n, -1.0)
-        ready_after = np.zeros(n)  # earliest requeue time after recovery
-        pred = dag.pred_count.copy()
-        alive = np.ones(nprocs, dtype=bool)
-        owner_override: dict[int, int] = {}  # dead rank -> recovery rank
-        death_log: list[tuple[int, int, float]] = []  # (rank, recovery, t)
-
-        def cur_owner(tid: int) -> int:
-            r = self.owner_of_task(tid)
-            while r in owner_override:
-                r = owner_override[r]
-            return r
-
-        def holder(tid: int) -> int:
-            """Alive rank holding a done task's output (checkpoint chain)."""
-            r = int(exec_rank[tid])
-            while r in owner_override:
-                r = owner_override[r]
-            return r
-
-        events: list[tuple[float, int, str, int, object]] = []
-        seq = 0
-        loop_stats = EventLoopStats(engine="legacy", max_cohort=1)
-        t_wall = time.perf_counter()
-
-        def push_event(t: float, kind: str, rank: int, payload) -> None:
-            nonlocal seq
-            heapq.heappush(events, (t, seq, kind, rank, payload))
-            seq += 1
-            if len(events) > loop_stats.peak_depth:
-                loop_stats.peak_depth = len(events)
-
-        messages = 0
-        comm_bytes = 0
-        done_tasks = 0
-        makespan = 0.0
-        total_flops = 0
-        timeline = [] if self.record_timeline else None
-        tracing = self.record_trace
-        if tracing:
-            task_t_start = np.full(n, -1.0)
-            task_t_done = np.full(n, -1.0)
-            send_log: list[SendRecord] = []
-
-        def edge_bytes(e: int) -> int:
-            return int(8 * dag.tasks[int(e_prod[e])].nnz * self.msg_scale)
-
-        def send_edge(e: int, src: int, t: float,
-                      resend: bool = False) -> None:
-            """Start shipping edge ``e``'s payload from ``src``."""
-            if resend:
-                fstats.resends += 1
-            dst = cur_owner(int(e_cons[e]))
-            if dst == src:
-                if resend and tracing:
-                    # recovery delivery that became rank-local (the
-                    # consumer re-homed onto the payload's holder);
-                    # record it so earlier dropped attempts of this
-                    # (producer, consumer) pair have a matched delivery
-                    send_log.append(SendRecord(
-                        tid=int(e_prod[e]), succ=int(e_cons[e]), src=src,
-                        dst=dst, t_send=t, t_recv=t,
-                        nbytes=edge_bytes(e), attempt=0))
-                push_event(t, "deliver", dst,
-                           (e, int(edge_epoch[e]), src, dst))
-            else:
-                messages_add()
-                push_event(t, "xmit", src, (e, 0, int(edge_epoch[e]), src))
-
-        def messages_add() -> None:
-            nonlocal messages
-            messages += 1
-
-        def handle_xmit(t: float, payload) -> None:
-            """One transmission attempt; draws drop/dup from the RNG."""
-            nonlocal comm_bytes
-            e, attempt, epoch, src = payload
-            if (epoch != edge_epoch[e] or not alive[src]
-                    or edge_recv[e] >= 0):
-                return
-            p, c = int(e_prod[e]), int(e_cons[e])
-            dst = cur_owner(c)  # re-routes to the recovery rank if dead
-            if dst == src:
-                # the consumer re-homed onto this very rank mid-flight;
-                # deliver locally, with a record matching any earlier
-                # dropped attempts of the pair
-                if tracing:
-                    send_log.append(SendRecord(
-                        tid=p, succ=c, src=src, dst=dst, t_send=t,
-                        t_recv=t, nbytes=edge_bytes(e), attempt=attempt))
-                push_event(t, "deliver", dst, (e, epoch, src, dst))
-                return
-            nbytes = edge_bytes(e)
-            comm_bytes += nbytes
-            delay = self.cluster.message_time(src, dst, nbytes)
-            pdrop = drop_table.get((src, dst), link.drop_prob)
-            if (pdrop > 0.0 and attempt + 1 < link.max_attempts
-                    and rng.random() < pdrop):
-                # lost on the wire; the final attempt always lands
-                # (reliable-transport fallback), so no payload is lost
-                # forever and the run always completes
-                fstats.drops += 1
-                fstats.retransmits += 1
-                if tracing:
-                    send_log.append(SendRecord(
-                        tid=p, succ=c, src=src, dst=dst, t_send=t,
-                        t_recv=None, nbytes=nbytes, attempt=attempt))
-                base = (link.timeout_s if link.timeout_s is not None
-                        else link.timeout_factor * delay)
-                push_event(t + base * link.backoff ** attempt, "xmit",
-                           src, (e, attempt + 1, epoch, src))
-                return
-            stretch = max(spec.slowdown(src, t), spec.slowdown(dst, t))
-            arr = t + delay * stretch
-            if tracing:
-                send_log.append(SendRecord(
-                    tid=p, succ=c, src=src, dst=dst, t_send=t,
-                    t_recv=arr, nbytes=nbytes, attempt=attempt))
-            push_event(arr, "deliver", dst, (e, epoch, src, dst))
-            if link.dup_prob > 0.0 and rng.random() < link.dup_prob:
-                fstats.dups += 1
-                push_event(arr, "deliver", dst, (e, epoch, src, dst))
-
-        def handle_deliver(t: float, payload) -> None:
-            e, epoch, src, dst = payload
-            if epoch != edge_epoch[e] or edge_recv[e] >= 0:
-                return  # cancelled, or a suppressed duplicate
-            c = int(e_cons[e])
-            if not alive[dst]:
-                # receiver died while the payload was in flight:
-                # invalidate this shipment and re-send to the consumer's
-                # current owner
-                edge_epoch[e] += 1
-                send_edge(e, src, t, resend=True)
-                return
-            edge_recv[e] = t
-            edge_dst[e] = dst
-            pred[c] -= 1
-            if pred[c] == 0 and state[c] == 0:
-                push_event(max(t, ready_after[c]), "ready", cur_owner(c), c)
-
-        def propagate(t_done: float, tids, src: int) -> None:
-            for tid in tids:
-                for e in range(int(indptr[tid]), int(indptr[tid + 1])):
-                    if edge_recv[e] >= 0:
-                        continue  # already delivered (re-execution)
-                    send_edge(e, src, t_done)
-
-        def handle_death(t: float, r: int) -> None:
-            if not alive[r]:
-                return
-            alive[r] = False
-            fstats.deaths += 1
-            rec = next((r + off) % nprocs for off in range(1, nprocs)
-                       if alive[(r + off) % nprocs])
-            t_rec = t + spec.recovery_delay
-            tc = math.floor(t / spec.checkpoint_interval) \
-                * spec.checkpoint_interval
-            # everything r ever executed, before the resets below — its
-            # undelivered payloads all died with the NIC
-            was_r = exec_rank == r
-            # in-flight batches die with the GPU
-            for tid in procs[r].running:
-                state[tid] = 0
-                exec_rank[tid] = -1
-                fstats.reexecuted += 1
-            procs[r].running.clear()
-            # queued work re-homes to the recovery rank
-            for tid in procs[r].drain_pending():
-                state[tid] = 0
-            # work completed after the last checkpoint is lost
-            lost = np.flatnonzero((state == 3) & (exec_rank == r)
-                                  & (done_at > tc))
-            for tid in lost:
-                state[tid] = 0
-                exec_rank[tid] = -1
-                nonlocal_done(-1)
-                fstats.reexecuted += 1
-            # tasks whose home was r now belong to the recovery rank,
-            # available once the checkpoint is restored there
-            moved = [tid for tid in range(n)
-                     if state[tid] != 3 and cur_owner(tid) == r]
-            owner_override[r] = rec
-            death_log.append((r, rec, t))
-            for tid in moved:
-                ready_after[tid] = max(ready_after[tid], t_rec)
-            # deliveries r had received: kept if checkpointed, undone
-            # (and re-sent by whoever durably holds the payload) if not
-            for e in np.flatnonzero((edge_dst == r) & (edge_recv >= 0)):
-                c, p = int(e_cons[e]), int(e_prod[e])
-                if state[c] == 3:
-                    continue  # consumer survived via the checkpoint
-                if edge_recv[e] > tc:
-                    edge_recv[e] = -1.0
-                    edge_dst[e] = -1
-                    edge_epoch[e] += 1
-                    pred[c] += 1
-                    if state[p] == 3:
-                        send_edge(e, holder(p), t_rec, resend=True)
-                    # else: p itself re-executes and re-propagates
-                elif state[p] == 3 and exec_rank[p] == r and tracing:
-                    # local payload restored from the checkpoint on the
-                    # recovery rank — record it so the verifier can match
-                    # the (now cross-rank-looking) edge to a delivery
-                    send_log.append(SendRecord(
-                        tid=p, succ=c, src=rec, dst=rec, t_send=t_rec,
-                        t_recv=t_rec, nbytes=edge_bytes(e), attempt=0))
-            # undelivered payloads r produced: cancel anything still in
-            # flight from the dead NIC; checkpointed (durable) outputs
-            # are re-sent from the restored checkpoint, while reset
-            # tasks re-deliver naturally when they re-execute
-            for e in np.flatnonzero(was_r[e_prod] & (edge_recv < 0)):
-                edge_epoch[e] += 1
-                if state[int(e_prod[e])] == 3:
-                    send_edge(e, rec, t_rec, resend=True)
-            # requeue everything runnable once recovery completes
-            for tid in np.flatnonzero((pred == 0) & (state == 0)):
-                tid = int(tid)
-                push_event(max(t_rec, ready_after[tid]), "ready",
-                           cur_owner(tid), tid)
-
-        def nonlocal_done(delta: int) -> None:
-            nonlocal done_tasks
-            done_tasks += delta
-
-        for tid in dag.initial_ready():
-            push_event(0.0, "ready", self.owner_of_task(tid), tid)
-        for d in spec.deaths:
-            push_event(d.time, "death", d.rank, None)
-
-        wake_pending = [float("inf")] * nprocs
-
-        while events:
-            t, _, kind, rank, payload = heapq.heappop(events)
-            loop_stats.events += 1
-            if t >= wake_pending[rank]:
-                wake_pending[rank] = float("inf")
-            if kind == "death":
-                handle_death(t, rank)
-                continue
-            if kind == "xmit":
-                handle_xmit(t, payload)
-                continue
-            if kind == "deliver":
-                handle_deliver(t, payload)
-                rank = payload[3]  # try launching on the receiver
-            elif kind == "ready":
-                tid = int(payload)
-                if state[tid] != 0 or pred[tid] != 0:
-                    continue  # stale (already queued/launched or undone)
-                if t < ready_after[tid]:
-                    push_event(ready_after[tid], "ready", cur_owner(tid),
-                               tid)
-                    continue
-                rank = cur_owner(tid)
-                state[tid] = 1
-                procs[rank].add_ready(tid)
-            elif kind == "done":
-                if not alive[rank]:
-                    continue  # the batch died with its GPU
-                proc = procs[rank]
-                proc.on_done()
-                finished = []
-                for tid in payload:
-                    if state[tid] == 2 and exec_rank[tid] == rank:
-                        state[tid] = 3
-                        done_at[tid] = t
-                        proc.running.discard(tid)
-                        nonlocal_done(1)
-                        finished.append(tid)
-                propagate(t, finished, rank)
-                makespan = max(makespan, t)
-            if not alive[rank]:
-                continue
-            proc = procs[rank]
-            for start, end, tids, flops in proc.launch(t):
-                total_flops += flops
-                for tid in tids:
-                    state[tid] = 2
-                    exec_rank[tid] = rank
-                    proc.running.add(tid)
-                if timeline is not None:
-                    timeline.append((rank, start, end, list(tids)))
-                if tracing:
-                    task_t_start[tids] = start
-                    task_t_done[tids] = end
-                push_event(end, "done", rank, tids)
-            wake = proc.next_wake(t)
-            if wake is not None and wake < wake_pending[rank]:
-                wake_pending[rank] = wake
-                push_event(wake, "wake", rank, None)
-
-        loop_stats.cohorts = loop_stats.events
-        loop_stats.wall_s = time.perf_counter() - t_wall
-        if done_tasks != n:
-            raise AssertionError(
-                f"faulty distributed sim finished {done_tasks}/{n} tasks")
-        trace = None
-        if tracing:
-            edges = np.stack([e_prod, e_cons], axis=1) if n_edges \
-                else np.empty((0, 2), dtype=np.int64)
-            per_rank = factor_bytes_per_rank(dag, self.grid).astype(float)
-            for r, rec, _t in death_log:
-                per_rank[rec] += per_rank[r]
-                per_rank[r] = 0.0
-            trace = DistTrace(
-                nprocs=nprocs,
-                rank=exec_rank.copy(),
-                t_start=task_t_start,
-                t_done=task_t_done,
-                edges=edges,
-                sends=send_log,
-                deaths=[(r, t) for r, _rec, t in death_log],
-                per_rank_bytes=per_rank,
-                mem_budget_bytes=USABLE_FRACTION
-                * self.cluster.gpu.memory_gb * 1e9,
-            )
-        return DistributedResult(
-            cluster=self.cluster.name,
-            policy=self.policy,
-            nprocs=nprocs,
-            makespan=makespan,
-            total_tasks=n,
-            total_kernels=sum(p.kernels for p in procs),
-            total_flops=total_flops,
-            per_proc_kernels=[p.kernels for p in procs],
-            per_proc_busy=[p.busy for p in procs],
-            messages=messages,
-            comm_bytes=comm_bytes,
-            timeline=timeline,
-            trace=trace,
-            faults=fstats,
-            events=loop_stats,
-        )
+            return run_arena_faulty(self)
+        return run_arena(self)

@@ -1,9 +1,9 @@
-"""The vectorized arena event engine for the cluster simulator.
+"""The event engine of the cluster simulator.
 
-:mod:`repro.cluster.distsim`'s legacy loop pops one Python tuple per
-event off one ``heapq`` and walks task/edge *objects* per message —
-intractable past a few hundred ranks.  This module is the scale-out
-rewrite the ROADMAP calls for, in the spirit of PR 1's ScheduleArena:
+A per-message loop — one Python tuple per event on one ``heapq``, task
+and edge *objects* walked per message — is intractable past a few
+hundred ranks, so the simulator is built column-first, in the spirit of
+PR 1's ScheduleArena:
 
 * events live in an :class:`~repro.cluster.eventarena.EventArena`
   (SoA numpy columns, calendar-queue cohort pops);
@@ -12,17 +12,27 @@ rewrite the ROADMAP calls for, in the spirit of PR 1's ScheduleArena:
   vectorized ``message_times`` pass), and per-task single-launch times
   (one vectorized cost-model pass);
 * per-rank ready heaps hold scalar ``int`` keys instead of tuples
-  (:class:`_FastProcState`) — a monotone bijection of the legacy tuple
-  keys, so heap *structure* (which ``drain()`` exposes) is preserved
-  exactly;
+  (:class:`_ProcState`) — a monotone encoding of the policy's priority
+  tuple, so the heap *structure* (which a rank death's
+  ``drain_pending`` exposes) is the tuple heap's;
 * predecessor accounting for wide fan-outs runs through
   ``np.maximum.at``/``np.subtract.at`` with the newly-ready set pushed
   in last-decrement order — provably the sequential push order.
 
-Everything here is pinned bit/digest-identical to the legacy loop (same
-spec, same seed, fault-free and faulty) by the differential suite in
-``tests/test_distsim_engines.py``; the legacy loop stays available via
-``engine="legacy"`` / ``REPRO_DISTSIM_LEGACY=1`` as the oracle.
+:func:`run_arena` is the lean lossless loop, :func:`run_arena_faulty`
+the loop with per-edge delivery tracking, retransmit timers and
+death/recovery events; ``DistributedSimulator.run`` picks between them
+from ``faults is not None``.  What pins their behaviour — the frozen
+goldens of the removed heap loops, execute == replay, the TraceVerifier
+— is listed in DESIGN.md ("What pins the engine").
+
+Nothing created per run (``SimStatics``, the per-rank states, the
+``EventArena``) may sit on a reference cycle: the statics hold per-task
+Python-int lists for DAGs up to ``4096x192``, and a cycle would keep
+them alive until the cyclic collector's next old-generation pass, so
+consecutive simulations would overlap in memory.  Hence no bound method
+and no closure over an instance is ever stored *on* that instance; the
+loops pick per-policy dispatch into locals.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import time
 
 import numpy as np
 
-from repro.cluster.distsim import DistributedResult, _ProcState
+from repro.cluster.distsim import DistributedResult
 from repro.cluster.eventarena import (
     EventArena,
     K_DEATH,
@@ -45,13 +55,17 @@ from repro.cluster.eventarena import (
 )
 from repro.cluster.faults import FaultStats
 from repro.cluster.memory import USABLE_FRACTION, factor_bytes_per_rank
-from repro.core.executor import EstimateBackend, ReplayBackend
+from repro.core.executor import EstimateBackend, Executor, ReplayBackend
 from repro.gpusim.costmodel import GPUCostModel, KernelLaunch
 from repro.verify.hazards import batch_atomic_flags
 from repro.verify.trace import DistTrace, SendRecord
 
-#: scalar-key encodings must stay below this to be safe in a C long
+#: scalar-key encodings below this are built as int64 columns; wider
+#: ones are built on Python ints (same encoding, same order)
 _MAX_KEY = 2 ** 62
+
+#: concurrent streams of the ``streams`` policy (the four-stream ablation)
+_N_STREAMS = 4
 
 #: fan-outs at least this wide take the numpy propagate path; narrower
 #: ones run a scalar loop over the precomputed edge columns
@@ -65,7 +79,7 @@ def single_launch_times(model: GPUCostModel, cuda_blocks: np.ndarray,
     Replicates :meth:`GPUCostModel.launch_time` operation-for-operation
     (same operands, same association order), so each element is
     bit-identical to the scalar call — the engine's fast path feeds
-    these into the same ``t_end - t_start`` arithmetic the legacy
+    these into the same ``t_end - t_start`` arithmetic
     ``BatchRecord.duration`` performs.
     """
     gpu = model.gpu
@@ -93,16 +107,34 @@ def single_launch_times(model: GPUCostModel, cuda_blocks: np.ndarray,
     return np.where((flops <= 0) & (nbytes <= 0), overhead, lt)
 
 
+def _int_keys(major: np.ndarray, minor: np.ndarray) -> list[int]:
+    """Scalar heap keys ordering task ids as the tuple ``(major, minor,
+    tid)`` would — ``key % n`` is the task id.
+
+    ``heapq``'s array layout depends only on comparison outcomes, so a
+    heap of these keys has exactly the structure of the tuple heap.
+    Encodings too wide for an int64 column are computed on Python ints
+    instead: the same keys, just slower to build.
+    """
+    n = major.size
+    width = int(minor.max()) + 1
+    if (int(major.max()) + 1) * width * n < _MAX_KEY:
+        return ((major * width + minor) * n
+                + np.arange(n, dtype=np.int64)).tolist()
+    return [(a * width + b) * n + tid for tid, (a, b)
+            in enumerate(zip(major.tolist(), minor.tolist()))]
+
+
 class SimStatics:
     """Everything about a run that never changes, as columns.
 
     Built once per :func:`run_arena`/:func:`run_arena_faulty` call:
     tile owners, the CSR edge table with per-edge destination / bytes /
     lossless latency, per-task single-launch times for replay/estimate
-    backends, and the scalar heap keys for every policy.  Hot columns
-    are also materialized as Python lists — element reads off a list
-    are ~5x cheaper than numpy scalar indexing, and the event loop does
-    millions of them.
+    backends, and the scalar ready-heap keys of the run's policy.  Hot
+    columns are also materialized as Python lists — element reads off a
+    list are ~5x cheaper than numpy scalar indexing, and the event loop
+    does millions of them.
     """
 
     def __init__(self, sim, model: GPUCostModel, cp: np.ndarray):
@@ -128,7 +160,7 @@ class SimStatics:
         self.e_prod = np.repeat(np.arange(n, dtype=np.int64),
                                 np.diff(indptr))
         # per-task output-tile bytes: float(nnz) * 8 is exact (a power
-        # of two scale), so this truncation matches the legacy
+        # of two scale), so this truncation matches the scalar
         # int(8 * nnz * msg_scale) bit-for-bit
         out_bytes = (arrays.nnz.astype(np.float64) * 8.0
                      * sim.msg_scale).astype(np.int64)
@@ -144,8 +176,8 @@ class SimStatics:
         self.e_cross = self.e_src != self.e_dst
         self.e_cross_l = self.e_cross.tolist()
 
-        # -- single-task launch fast path (stat-replay backends only;
-        # -- numeric / record-once backends keep the executor path so
+        # -- single-task launch columns (stat-replay backends only;
+        # -- numeric / record-once backends go through the executor so
         # -- execution side effects are preserved) ----------------------
         self.lt1_l: list | None = None
         self.body1_l: list | None = None
@@ -168,38 +200,36 @@ class SimStatics:
             self.flops1_l = flops1.tolist()
             self.have1_l = have1.tolist() if have1 is not None else None
         self._atomic_scratch = np.zeros(64, dtype=bool)
+        if self.lt1_l is None:
+            #: executor path: per-task objects through the shared Executor
+            self.tasks = dag.tasks
+            self.executor = Executor(model, sim.backend)
 
-        # -- scalar heap keys -------------------------------------------
-        # Monotone bijections of the legacy tuple keys; heapq's array
-        # layout depends only on comparison outcomes, so these preserve
-        # heap structure (and hence drain() order) exactly:
+        # -- scalar ready-heap keys of this run's policy -----------------
         #   serial/streams: (distance, k, tid)
         #   dmdas:          (-cp, k, tid)
-        #   trojan prio:    (-cp, distance, tid)
-        self.key_serial_l: list | None = None
-        self.key_dmdas_l: list | None = None
-        self.key_prio_l: list | None = None
-        self.cp_l = cp.astype(np.int64).tolist()
-        self.dist_l = arrays.distance.astype(np.int64).tolist()
-        self.k_l = arrays.k.astype(np.int64).tolist()
-        self.blocks_l = arrays.cuda_blocks.astype(np.int64).tolist()
-        self.shmem_l = arrays.shared_mem.astype(np.int64).tolist()
-        self.max_blocks = model.gpu.max_resident_blocks
-        self.max_shmem = model.gpu.shared_mem_total_bytes
+        #   trojan:         (-cp, distance, tid)
+        cp64 = cp.astype(np.int64)
+        dist = arrays.distance.astype(np.int64)
+        kcol = arrays.k.astype(np.int64)
+        self.key_l: list[int] = []
         if n:
-            cp64 = cp.astype(np.int64)
-            dist = arrays.distance.astype(np.int64)
-            kcol = arrays.k.astype(np.int64)
-            dmax = int(dist.max()) + 1
-            kmax = int(kcol.max()) + 1
-            cmax = int(cp64.max()) + 1
-            if max(dmax * kmax, cmax * kmax, cmax * dmax) * n < _MAX_KEY:
-                tid = np.arange(n, dtype=np.int64)
-                self.key_serial_l = ((dist * kmax + kcol) * n + tid).tolist()
-                self.key_dmdas_l = (
-                    ((cmax - 1 - cp64) * kmax + kcol) * n + tid).tolist()
-                self.key_prio_l = (
-                    ((cmax - 1 - cp64) * dmax + dist) * n + tid).tolist()
+            inv_cp = int(cp64.max()) - cp64
+            if sim.policy == "trojan":
+                self.key_l = _int_keys(inv_cp, dist)
+            elif sim.policy == "dmdas":
+                self.key_l = _int_keys(inv_cp, kcol)
+            else:
+                self.key_l = _int_keys(dist, kcol)
+        if sim.policy == "trojan":
+            # the Aggregate/Batch round reads these per admission
+            self.cp_l = cp64.tolist()
+            self.dist_l = dist.tolist()
+            self.k_l = kcol.tolist()
+            self.blocks_l = arrays.cuda_blocks.astype(np.int64).tolist()
+            self.shmem_l = arrays.shared_mem.astype(np.int64).tolist()
+            self.max_blocks = model.gpu.max_resident_blocks
+            self.max_shmem = model.gpu.shared_mem_total_bytes
 
     def batch_time(self, tids_list: list[int]) -> tuple[float, int]:
         """``(launch_time, flops)`` of a multi-task batch, array-side.
@@ -229,171 +259,141 @@ class SimStatics:
         return self.model.launch_time(launch), int(flops)
 
 
-class _FastPrioritizer:
-    """Prioritizer twin over scalar int keys (identical heap structure).
+class _ProcState:
+    """Scheduler state of one simulated process: one rank, one policy.
 
-    ``repro.core.prioritizer.Prioritizer`` keeps ``(-cp, distance,
-    tid)`` tuples; this keeps the bijective int encoding from
-    :class:`SimStatics`, so every heap comparison resolves the same way
-    and :meth:`drain` — whose heap-array order feeds the Container's
-    sequence-numbered tie-breaks — returns the identical sequence.
+    Ready tasks wait in :attr:`heap`, a ``heapq`` of the policy's scalar
+    keys (:attr:`SimStatics.key_l`; ``key % n`` is the task id).  The
+    Trojan Horse policy adds :attr:`deferred`, the Container of the
+    paper's Aggregate stage, and forms batches against the Collector's
+    two budgets inline (:meth:`_form_trojan_batch`).  Timing comes from
+    the precomputed stat columns; backends with execution side effects
+    (numeric, record-once) have none, and go through the two executor
+    hooks :meth:`_run_batch_time` / :meth:`_task_body_time` instead.
     """
 
-    __slots__ = ("_key", "_cp", "_n", "_heap", "_round_max")
-
-    def __init__(self, statics: SimStatics):
-        self._key = statics.key_prio_l
-        self._cp = statics.cp_l
-        self._n = statics.n
-        self._heap: list[int] = []
-        self._round_max: int | None = None
-
-    def push_ready(self, tid: int) -> None:
-        heapq.heappush(self._heap, self._key[tid])
-
-    def push_many(self, tids) -> None:
-        for t in tids:
-            heapq.heappush(self._heap, self._key[t])
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def has_ready(self) -> bool:
-        return bool(self._heap)
-
-    def pop_most_urgent(self) -> int:
-        return heapq.heappop(self._heap) % self._n
-
-    def begin_round(self) -> None:
-        self._round_max = (self._cp[self._heap[0] % self._n]
-                           if self._heap else None)
-
-    def is_critical(self, tid: int) -> bool:
-        if self._round_max is None:
-            max_cp = (self._cp[self._heap[0] % self._n]
-                      if self._heap else self._cp[tid])
-        else:
-            max_cp = self._round_max
-        return self._cp[tid] >= max_cp
-
-    def drain(self) -> list[int]:
-        n = self._n
-        out = [k % n for k in self._heap]
-        self._heap.clear()
-        return out
-
-
-class _FastContainer:
-    """Container twin keyed on int columns instead of Task objects.
-
-    Pushes the identical heap key — ``(not urgent, distance, k, seq,
-    tid)`` — so pop/peek/drain order matches
-    :class:`repro.core.container.Container` entry for entry, without
-    touching ``dag.tasks``.
-    """
-
-    __slots__ = ("_heap", "_seq", "_dist", "_k")
-
-    def __init__(self, statics: SimStatics):
-        self._heap: list[tuple[bool, int, int, int, int]] = []
-        self._seq = 0
-        self._dist = statics.dist_l
-        self._k = statics.k_l
-
-    def push(self, tid: int, urgent: bool = False) -> None:
-        heapq.heappush(
-            self._heap,
-            (not urgent, self._dist[tid], self._k[tid], self._seq, tid))
-        self._seq += 1
-
-    def pop(self) -> int:
-        return heapq.heappop(self._heap)[4]
-
-    def peek(self) -> int:
-        return self._heap[0][4]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._heap
-
-
-class _FastProcState(_ProcState):
-    """``_ProcState`` with precomputed-array timing + scalar heap keys.
-
-    The launch/aggregation logic is inherited — only the timing hooks
-    and the ready-queue representation change, so scheduling decisions
-    cannot drift from the legacy engine.  Backends without precomputed
-    stats (numeric, record-once) and DAGs whose key encoding would
-    overflow fall back to the inherited tuple/object paths.
-    """
-
-    def __init__(self, rank, policy, dag, model, backend, cp,
-                 statics: SimStatics, slowdown=None):
-        super().__init__(rank, policy, dag, model, backend, cp,
-                         slowdown=slowdown)
+    def __init__(self, policy: str, statics: SimStatics, slowdown=None):
+        self.policy = policy
         self._st = statics
         self._n = statics.n
-        self._fast_trojan = (policy == "trojan"
-                             and statics.key_prio_l is not None)
-        if self._fast_trojan:
-            self.prio = _FastPrioritizer(statics)
-            self.container = _FastContainer(statics)
-            #: would the legacy Collector be full after the batch just
-            #: formed?  (its is_full drives the double-buffer push-back)
-            self._batch_full = False
-        self._key_l = None
-        if policy == "dmdas":
-            self._key_l = statics.key_dmdas_l
-        elif policy in ("serial", "streams"):
-            self._key_l = statics.key_serial_l
+        self.kernels = 0
+        self.busy = 0.0
+        #: latency stretch ``t -> factor`` (straggler injection)
+        self.slowdown = slowdown or (lambda _t: 1.0)
         #: ``x * 1.0`` is a bitwise identity, so the identity slowdown
         #: can be skipped without perturbing a single float
         self._no_slow = slowdown is None
-        self._fast_single = (policy in ("serial", "dmdas")
-                             and self._key_l is not None
-                             and statics.lt1_l is not None)
-
-    def add_ready(self, tid: int) -> None:
-        if self.policy == "trojan":
-            self.prio.push_ready(tid)
-        elif self._key_l is not None:
-            heapq.heappush(self.heap, self._key_l[tid])
+        #: task ids launched but not yet completed (fault path only —
+        #: a rank death loses exactly this set)
+        self.running: set[int] = set()
+        self.heap: list[int] = []
+        if policy == "trojan":
+            #: deferred tasks: ``(not urgent, distance, k, seq, tid)``
+            self.deferred: list[tuple[bool, int, int, int, int]] = []
+            self._seq = 0
+            #: is the Collector full after the batch just formed?  (that
+            #: drives the double-buffer push-back in _launch_trojan)
+            self._batch_full = False
+            # Algorithm 1 launches batches with GPU.AsyncExecutor: the CPU
+            # may prepare and enqueue the next batch while one executes
+            # (double buffering); the GPU itself runs batches in order
+            self.gpu_free = 0.0
+            self.inflight = 0
+        elif policy in ("serial", "dmdas"):
+            self.busy_until = 0.0
+        elif policy == "streams":
+            self.clocks = [0.0] * _N_STREAMS
+            self.device_clock = 0.0    # SM time shared across streams
+            self.dispatch_clock = 0.0  # CPU submission serialised
         else:
-            super().add_ready(tid)
+            raise ValueError(f"unknown policy {policy!r}")
 
-    def _pop_ready(self) -> int:
-        if self._key_l is not None:
-            return heapq.heappop(self.heap) % self._n
-        return super()._pop_ready()
+    # -- ready bookkeeping ------------------------------------------------
+    def add_ready(self, tid: int) -> None:
+        heapq.heappush(self.heap, self._st.key_l[tid])
+
+    def _defer(self, tid: int, urgent: bool = False) -> None:
+        st = self._st
+        heapq.heappush(
+            self.deferred,
+            (not urgent, st.dist_l[tid], st.k_l[tid], self._seq, tid))
+        self._seq += 1
 
     def drain_pending(self) -> list[int]:
-        if self.policy == "trojan" or self._key_l is None:
-            return super().drain_pending()
+        """Remove and return every queued-but-unlaunched task id.
+
+        Rank death re-homes this backlog onto the recovery rank; tasks
+        already *running* are in :attr:`running`, not here.  The ready
+        heap drains in heap-array order, the deferred tasks in priority
+        order.
+        """
         n = self._n
         out = [k % n for k in self.heap]
         self.heap.clear()
+        if self.policy == "trojan":
+            deferred = self.deferred
+            while deferred:
+                out.append(heapq.heappop(deferred)[4])
         return out
 
-    def _form_trojan_batch(self) -> list[int]:
-        """Aggregate/Batch over int columns — same admissions, same order.
+    def on_done(self) -> None:
+        """A previously-enqueued batch finished (async-executor slot free)."""
+        if self.policy == "trojan":
+            self.inflight -= 1
 
-        Replays ``_ProcState._form_trojan_batch`` against
-        ``cuda_blocks``/``shared_mem`` columns and the int-keyed
-        container, so every try_push verdict and every container seq
-        number matches the legacy Collector/Container run.
+    def next_wake(self, t: float) -> float | None:
+        """Earliest future time this process could start new work.
+
+        Wakes are coalesced (one pending wake per process) and only
+        cover *scheduler* stalls — a busy device with queued work.
+        Retransmit deadlines must never be expressed as process wakes: a
+        rank waiting on a lost message has no ready tasks, so its wake
+        would be ``None`` and the coalescing would silently swallow the
+        timer.  The fault loop therefore keeps every retransmit timer as
+        a first-class event on the global queue.
         """
-        if not self._fast_trojan:
-            return super()._form_trojan_batch()
+        policy = self.policy
+        if policy == "trojan":
+            # async executor: launches happen on arrivals and batch
+            # completions; no timed wake needed
+            return None
+        elif policy == "streams":
+            pending = [c for c in self.clocks if c > t]
+            return min(pending) if pending and self.heap else None
+        bu = self.busy_until
+        return bu if (bu > t and self.heap) else None
+
+    # -- launching --------------------------------------------------------
+    def launch(self, t: float):
+        """Start work at time ``t`` if the policy allows.
+
+        Returns the ``(start, end, task_ids, flops)`` launches.  The
+        lossless loop binds the per-policy method into a local instead.
+        """
+        policy = self.policy
+        if policy == "trojan":
+            return self._launch_trojan(t)
+        elif policy == "streams":
+            return self._launch_streams(t)
+        elif policy == "serial" or policy == "dmdas":
+            return self._launch_single(t)
+        raise AssertionError(f"unknown policy {policy!r}")
+
+    def _form_trojan_batch(self) -> list[int]:
+        """One Aggregate/Batch round (paper Algorithm 1) over int columns.
+
+        Aggregate: pop ready tasks most-urgent first; the ones on the
+        round's critical path (``cp`` == the round's maximum) go straight
+        into the batch until a Collector budget (resident CUDA blocks,
+        shared memory) would overflow — the first task of a batch is
+        always admitted, an oversized task runs alone — and the overflow
+        task is deferred as urgent, everything else as ordinary.  Batch:
+        top the batch up from the deferred heap while both budgets hold.
+        """
         st = self._st
         n = self._n
-        prio = self.prio
-        cont = self.container
-        pheap = prio._heap
-        cheap = cont._heap
+        pheap = self.heap
+        cheap = self.deferred
         blocks_l = st.blocks_l
         shmem_l = st.shmem_l
         max_blocks = st.max_blocks
@@ -413,7 +413,6 @@ class _FastProcState(_ProcState):
         tot_b = 0
         tot_s = 0
         round_max = cp_l[pheap[0] % n] if pheap else None
-        prio._round_max = round_max
         while pheap:
             tid = heappop(pheap) % n
             if cp_l[tid] >= round_max:
@@ -421,15 +420,16 @@ class _FastProcState(_ProcState):
                 sm = shmem_l[tid]
                 if batch and (tot_b + cb > max_blocks
                               or tot_s + sm > max_shmem):
-                    cont.push(tid, urgent=True)
-                    for other in prio.drain():
-                        cont.push(other)
+                    self._defer(tid, urgent=True)
+                    for key in pheap:  # heap-array order
+                        self._defer(key % n)
+                    pheap.clear()
                     break
                 batch.append(tid)
                 tot_b += cb
                 tot_s += sm
             else:
-                cont.push(tid)
+                self._defer(tid)
         while (tot_b < max_blocks and tot_s < max_shmem) and cheap:
             tid = cheap[0][4]
             cb = blocks_l[tid]
@@ -447,13 +447,11 @@ class _FastProcState(_ProcState):
         return batch
 
     def _launch_trojan(self, t):
-        if not self._fast_trojan:
-            return super()._launch_trojan(t)
         inflight = self.inflight
         if inflight >= 2:
             return ()
-        pheap = self.prio._heap
-        cheap = self.container._heap
+        pheap = self.heap
+        cheap = self.deferred
         if not pheap and not cheap:
             return ()
         out = []
@@ -461,9 +459,12 @@ class _FastProcState(_ProcState):
         while True:
             tids = self._form_trojan_batch()
             if inflight >= 1 and not self._batch_full:
-                push_ready = self.prio.push_ready
+                # GPU busy with a batch already queued behind it: keep
+                # aggregating instead of enqueueing a partial batch —
+                # push the formed tasks back and wait for a completion
+                add_ready = self.add_ready
                 for tid in tids:
-                    push_ready(tid)
+                    add_ready(tid)
                 break
             gpu_free = self.gpu_free
             start = t if gpu_free <= t else gpu_free
@@ -481,11 +482,11 @@ class _FastProcState(_ProcState):
         return out
 
     def _launch_single(self, t):
-        """``launch`` specialized for serial/dmdas on precomputed stats.
+        """Serial/dmdas: one task at a time off the ready heap.
 
-        Inlines ``_pop_ready`` + single-task ``_run_batch_time`` — the
-        double rounding ``(t + lt) - t`` is preserved, and the identity
-        slowdown multiply is skipped (bitwise no-op).
+        Reads the stat columns directly — the double rounding
+        ``(t + lt) - t`` of ``BatchRecord.duration`` is preserved, and
+        the identity slowdown multiply is skipped (bitwise no-op).
         """
         if self.busy_until > t:
             return ()
@@ -494,26 +495,60 @@ class _FastProcState(_ProcState):
             return ()
         tid = heapq.heappop(heap) % self._n
         st = self._st
-        if st.have1_l is not None and not st.have1_l[tid]:
-            raise KeyError(tid)
-        t_end = t + st.lt1_l[tid]
-        dur = t_end - t
+        if st.lt1_l is None:
+            dur, flops = self._run_batch_time([tid], t)
+        else:
+            if st.have1_l is not None and not st.have1_l[tid]:
+                raise KeyError(tid)
+            t_end = t + st.lt1_l[tid]
+            dur = t_end - t
+            flops = st.flops1_l[tid]
         end = t + dur if self._no_slow else t + dur * self.slowdown(t)
         self.busy_until = end
         self.busy += end - t
         self.kernels += 1
-        return [(t, end, [tid], st.flops1_l[tid])]
+        return [(t, end, [tid], flops)]
 
-    def next_wake(self, t):
-        if self._fast_single:
-            bu = self.busy_until
-            return bu if (bu > t and self.heap) else None
-        return super().next_wake(t)
+    def _launch_streams(self, t):
+        out = []
+        gpu = self._st.model.gpu
+        overhead = gpu.launch_overhead_us * 1e-6
+        dispatch = gpu.dispatch_serial_us * 1e-6
+        while self.heap:
+            free = [s for s in range(len(self.clocks)) if self.clocks[s] <= t]
+            if not free:
+                break
+            s = free[0]
+            tid = heapq.heappop(self.heap) % self._n
+            raw, flops = self._task_body_time(tid)
+            issue = max(t, self.dispatch_clock)
+            self.dispatch_clock = issue + dispatch
+            body = raw * self.slowdown(t)
+            start = max(issue + overhead, self.device_clock)
+            end = start + body
+            self.clocks[s] = end
+            self.device_clock = end
+            self.busy += end - t
+            self.kernels += 1
+            out.append((t, end, [tid], flops))
+        return out
 
-    def _run_batch_time(self, tids, t_start):
+    # -- timing hooks -----------------------------------------------------
+    def _run_batch_time(self, tids: list[int],
+                        t_start: float) -> tuple[float, int]:
+        """Simulated ``(duration, flops)`` of launching ``tids`` at
+        ``t_start``.
+
+        The duration is ``(t_start + launch_time) - t_start`` — the
+        subtraction is part of the contract (``BatchRecord.duration``
+        computes exactly that), and the column path reproduces its
+        floating-point rounding to stay bit-identical with the executor.
+        """
         st = self._st
         if st.lt1_l is None:
-            return super()._run_batch_time(tids, t_start)
+            record = st.executor.run_batch(
+                [st.tasks[x] for x in tids], t_start)
+            return record.duration, record.flops
         if len(tids) == 1:
             tid = tids[0]
             if st.have1_l is not None and not st.have1_l[tid]:
@@ -522,14 +557,21 @@ class _FastProcState(_ProcState):
             flops = st.flops1_l[tid]
         else:
             lt, flops = st.batch_time(tids)
-        # the subtraction reproduces BatchRecord.duration's rounding
         t_end = t_start + lt
         return t_end - t_start, flops
 
-    def _task_body_time(self, tid):
+    def _task_body_time(self, tid: int) -> tuple[float, int]:
+        """Kernel-body seconds (launch time minus overhead) and flops of
+        one task — the streams policy's dispatch/body split."""
         st = self._st
         if st.body1_l is None:
-            return super()._task_body_time(tid)
+            task = st.tasks[tid]
+            stats = st.backend.run_task(task, False)
+            launch = KernelLaunch()
+            launch.add_task(task.cuda_blocks, stats.flops, stats.bytes,
+                            task.shared_mem_bytes)
+            overhead = st.model.gpu.launch_overhead_us * 1e-6
+            return st.model.launch_time(launch) - overhead, stats.flops
         if st.have1_l is not None and not st.have1_l[tid]:
             raise KeyError(tid)
         return st.body1_l[tid], st.flops1_l[tid]
@@ -549,12 +591,12 @@ def _initial_width(cluster) -> float:
 
 # verify: effects(arena)
 def run_arena(sim) -> DistributedResult:
-    """Fault-free event loop on the arena engine.
+    """The fault-free event loop.
 
-    Bit-identical to ``DistributedSimulator._run_legacy`` — the event
-    processing order is the legacy ``(t, push-seq)`` order by the
-    arena's determinism contract, and every timing number flows through
-    the same float operations.
+    Events are processed in ``(t, push-seq)`` order — the arena's
+    determinism contract — and a DAG edge's predecessor count drops at
+    *send* time: the consumer's ready event is pushed at its latest
+    arrival.
     """
     t_wall = time.perf_counter()
     dag = sim.dag
@@ -563,10 +605,7 @@ def run_arena(sim) -> DistributedResult:
     st = SimStatics(sim, model, cp)
     nprocs = sim.nprocs
     n = dag.n_tasks
-    procs = [
-        _FastProcState(r, sim.policy, dag, model, sim.backend, cp, st)
-        for r in range(nprocs)
-    ]
+    procs = [_ProcState(sim.policy, st) for _ in range(nprocs)]
     pred = dag.pred_count.copy()
     arrival = np.zeros(n)
     owner_l = st.owner_l
@@ -636,34 +675,32 @@ def run_arena(sim) -> DistributedResult:
     for tid in dag.initial_ready():
         push(0.0, K_READY, owner_l[tid], tid)
 
+    # at most one pending wake per process — without this, every
+    # arrival during a busy period schedules another wake at the same
+    # instant and the event loop degenerates to O(events × backlog)
     wake_pending = [float("inf")] * nprocs
     batches: list[list[int]] = []
-    # prebound per-rank methods: the loop below runs once per event,
-    # and attribute lookups on _ProcState dominate at 1000+ ranks
+    # per-rank methods prebound into locals (never onto the instances:
+    # that would be a reference cycle): the loop below runs once per
+    # event, and attribute lookups on _ProcState dominate at 1000+ ranks
     if sim.policy == "trojan":
         launch_of = [p._launch_trojan for p in procs]
     elif sim.policy == "streams":
         launch_of = [p._launch_streams for p in procs]
-    elif nprocs and procs[0]._fast_single:
+    elif sim.policy == "serial" or sim.policy == "dmdas":
         launch_of = [p._launch_single for p in procs]
     else:
-        launch_of = [p.launch for p in procs]
+        raise AssertionError(f"unknown policy {sim.policy!r}")
 
-    def _mk_push_ready(heap, key, _hp=heapq.heappush):
-        # per-rank closure: one heappush, no method dispatch (the ready
-        # heaps are append/pop-only lists, never rebound)
+    def _mk_push_ready(heap, key=st.key_l, _hp=heapq.heappush):
+        # per-rank closure over the heap list (not the rank object): one
+        # heappush, no method dispatch — the ready heaps are
+        # append/pop-only lists, never rebound
         def _push_ready(tid):
             _hp(heap, key[tid])
         return _push_ready
 
-    if sim.policy == "trojan" and nprocs and procs[0]._fast_trojan:
-        # add_ready for fast-trojan procs is exactly prio.push_ready
-        add_ready_of = [_mk_push_ready(p.prio._heap, st.key_prio_l)
-                        for p in procs]
-    elif nprocs and procs[0]._key_l is not None:
-        add_ready_of = [_mk_push_ready(p.heap, p._key_l) for p in procs]
-    else:
-        add_ready_of = [p.add_ready for p in procs]
+    add_ready_of = [_mk_push_ready(p.heap) for p in procs]
     next_wake_of = [p.next_wake for p in procs]
     # trojan never schedules wakes (launches happen on arrivals and
     # batch completions), so the whole wake path can be skipped
@@ -838,15 +875,30 @@ def run_arena(sim) -> DistributedResult:
 
 # verify: effects(arena)
 def run_arena_faulty(sim) -> DistributedResult:
-    """Fault-injected event loop on the arena engine.
+    """The event loop with fault injection (``faults`` was given).
 
-    A line-for-line port of ``DistributedSimulator._run_faulty`` onto
-    the arena queue: retransmits, stragglers and rank death are arena
-    event kinds, tuple payloads live in side lists indexed by the
-    payload column, and the owner-override chain is a flat
-    chain-compressed ``rank_map`` array.  The RNG draw order is
-    preserved because the event processing order is preserved, so
-    traces and digests stay bit-identical per (spec, seed).
+    Differences from the lossless loop:
+
+    * every DAG edge is tracked individually — a predecessor count
+      drops at payload *arrival* (a ``K_DELIVER`` event), not at send
+      time, so deliveries can be undone when a rank dies;
+    * cross-rank shipments go through ``K_XMIT`` events that draw
+      drop/duplication outcomes from the spec's seeded RNG and schedule
+      retransmits with exponential backoff.  Retransmit timers are
+      first-class events, never per-process wakes —
+      ``_ProcState.next_wake`` coalescing would swallow a timer on a
+      rank with no ready work;
+    * a ``K_DEATH`` event marks the rank dead, re-homes its tile
+      ownership onto a recovery rank (the flat chain-compressed
+      ``rank_map``), restores the last periodic checkpoint there (task
+      outputs and received payloads up to the checkpoint survive;
+      everything later is re-executed or re-delivered) and re-queues
+      the lost work after ``recovery_delay``.
+
+    Tuple-shaped payloads live in side lists indexed by the arena's int
+    payload column.  Everything stochastic comes from one ``numpy``
+    Generator drawn in deterministic event order, so identical (spec,
+    seed) pairs reproduce bit-identical traces.
     """
     t_wall = time.perf_counter()
     dag = sim.dag
@@ -861,8 +913,8 @@ def run_arena_faulty(sim) -> DistributedResult:
     nprocs = sim.nprocs
     n = dag.n_tasks
     procs = [
-        _FastProcState(r, sim.policy, dag, model, sim.backend, cp, st,
-                       slowdown=(lambda t, _r=r: spec.slowdown(_r, t)))
+        _ProcState(sim.policy, st,
+                   slowdown=(lambda t, _r=r: spec.slowdown(_r, t)))
         for r in range(nprocs)
     ]
 
@@ -874,14 +926,16 @@ def run_arena_faulty(sim) -> DistributedResult:
     e_prod_l = e_prod.tolist()
     e_bytes_l = st.e_bytes_l
     n_edges = e_cons.size
-    edge_recv = np.full(n_edges, -1.0)
+    # per-edge delivery state (CSR edge ids over successor lists)
+    edge_recv = np.full(n_edges, -1.0)     # arrival time, -1 = not yet
     edge_dst = np.full(n_edges, -1, dtype=np.int64)
-    edge_epoch = np.zeros(n_edges, dtype=np.int64)
+    edge_epoch = np.zeros(n_edges, dtype=np.int64)  # cancellation token
 
+    # task lifecycle: 0 idle, 1 queued, 2 running, 3 done
     state = np.zeros(n, dtype=np.int8)
     exec_rank = np.full(n, -1, dtype=np.int64)
     done_at = np.full(n, -1.0)
-    ready_after = np.zeros(n)
+    ready_after = np.zeros(n)  # earliest requeue time after recovery
     pred = dag.pred_count.copy()
     alive = np.ones(nprocs, dtype=bool)
     #: chain-compressed owner re-homing: rank_map[r] is the alive rank
@@ -893,6 +947,7 @@ def run_arena_faulty(sim) -> DistributedResult:
         return rank_map[owner_l[tid]]
 
     def holder(tid: int) -> int:
+        """Alive rank holding a done task's output (checkpoint chain)."""
         return rank_map[int(exec_rank[tid])]
 
     # scalar link costs, identical arithmetic to ClusterSpec.message_time
@@ -940,12 +995,17 @@ def run_arena_faulty(sim) -> DistributedResult:
         push(t, K_XMIT, src, len(xmit_list) - 1)
 
     def send_edge(e: int, src: int, t: float, resend: bool = False) -> None:
+        """Start shipping edge ``e``'s payload from ``src``."""
         nonlocal messages
         if resend:
             fstats.resends += 1
         dst = cur_owner(e_cons_l[e])
         if dst == src:
             if resend and tracing:
+                # recovery delivery that became rank-local (the consumer
+                # re-homed onto the payload's holder); record it so
+                # earlier dropped attempts of this (producer, consumer)
+                # pair have a matched delivery
                 send_log.append(SendRecord(
                     tid=e_prod_l[e], succ=e_cons_l[e], src=src,
                     dst=dst, t_send=t, t_recv=t,
@@ -956,14 +1016,18 @@ def run_arena_faulty(sim) -> DistributedResult:
             push_xmit(t, e, 0, int(edge_epoch[e]), src)
 
     def handle_xmit(t: float, payload: int) -> None:
+        """One transmission attempt; draws drop/dup from the RNG."""
         nonlocal comm_bytes
         e, attempt, epoch, src = xmit_list[payload]
         if (epoch != edge_epoch[e] or not alive[src]
                 or edge_recv[e] >= 0):
             return
         p, c = e_prod_l[e], e_cons_l[e]
-        dst = cur_owner(c)
+        dst = cur_owner(c)  # re-routes to the recovery rank if dead
         if dst == src:
+            # the consumer re-homed onto this very rank mid-flight;
+            # deliver locally, with a record matching any earlier
+            # dropped attempts of the pair
             if tracing:
                 send_log.append(SendRecord(
                     tid=p, succ=c, src=src, dst=dst, t_send=t,
@@ -976,6 +1040,9 @@ def run_arena_faulty(sim) -> DistributedResult:
         pdrop = drop_table.get((src, dst), link.drop_prob)
         if (pdrop > 0.0 and attempt + 1 < link.max_attempts
                 and rng.random() < pdrop):
+            # lost on the wire; the final attempt always lands
+            # (reliable-transport fallback), so no payload is lost
+            # forever and the run always completes
             fstats.drops += 1
             fstats.retransmits += 1
             if tracing:
@@ -1001,9 +1068,11 @@ def run_arena_faulty(sim) -> DistributedResult:
     def handle_deliver(t: float, payload: int) -> None:
         e, epoch, src, dst = deliver_list[payload]
         if epoch != edge_epoch[e] or edge_recv[e] >= 0:
-            return
+            return  # cancelled, or a suppressed duplicate
         c = e_cons_l[e]
         if not alive[dst]:
+            # receiver died while the payload was in flight: invalidate
+            # this shipment and re-send to the consumer's current owner
             edge_epoch[e] += 1
             send_edge(e, src, t, resend=True)
             return
@@ -1017,7 +1086,7 @@ def run_arena_faulty(sim) -> DistributedResult:
         for tid in tids:
             for e in range(indptr_l[tid], indptr_l[tid + 1]):
                 if edge_recv[e] >= 0:
-                    continue
+                    continue  # already delivered (re-execution)
                 send_edge(e, src, t_done)
 
     def handle_death(t: float, r: int) -> None:
@@ -1031,14 +1100,19 @@ def run_arena_faulty(sim) -> DistributedResult:
         t_rec = t + spec.recovery_delay
         tc = math.floor(t / spec.checkpoint_interval) \
             * spec.checkpoint_interval
+        # everything r ever executed, before the resets below — its
+        # undelivered payloads all died with the NIC
         was_r = exec_rank == r
+        # in-flight batches die with the GPU
         for tid in procs[r].running:
             state[tid] = 0
             exec_rank[tid] = -1
             fstats.reexecuted += 1
         procs[r].running.clear()
+        # queued work re-homes to the recovery rank
         for tid in procs[r].drain_pending():
             state[tid] = 0
+        # work completed after the last checkpoint is lost
         lost = np.flatnonzero((state == 3) & (exec_rank == r)
                               & (done_at > tc))
         for tid in lost:
@@ -1046,6 +1120,8 @@ def run_arena_faulty(sim) -> DistributedResult:
             exec_rank[tid] = -1
             done_tasks -= 1
             fstats.reexecuted += 1
+        # tasks whose home was r now belong to the recovery rank,
+        # available once the checkpoint is restored there
         moved = [tid for tid in range(n)
                  if state[tid] != 3 and cur_owner(tid) == r]
         for i in range(nprocs):
@@ -1054,10 +1130,12 @@ def run_arena_faulty(sim) -> DistributedResult:
         death_log.append((r, rec, t))
         for tid in moved:
             ready_after[tid] = max(ready_after[tid], t_rec)
+        # deliveries r had received: kept if checkpointed, undone (and
+        # re-sent by whoever durably holds the payload) if not
         for e in np.flatnonzero((edge_dst == r) & (edge_recv >= 0)):
             c, p = e_cons_l[e], e_prod_l[e]
             if state[c] == 3:
-                continue
+                continue  # consumer survived via the checkpoint
             if edge_recv[e] > tc:
                 edge_recv[e] = -1.0
                 edge_dst[e] = -1
@@ -1065,14 +1143,23 @@ def run_arena_faulty(sim) -> DistributedResult:
                 pred[c] += 1
                 if state[p] == 3:
                     send_edge(e, holder(p), t_rec, resend=True)
+                # else: p itself re-executes and re-propagates
             elif state[p] == 3 and exec_rank[p] == r and tracing:
+                # local payload restored from the checkpoint on the
+                # recovery rank — record it so the verifier can match
+                # the (now cross-rank-looking) edge to a delivery
                 send_log.append(SendRecord(
                     tid=p, succ=c, src=rec, dst=rec, t_send=t_rec,
                     t_recv=t_rec, nbytes=e_bytes_l[e], attempt=0))
+        # undelivered payloads r produced: cancel anything still in
+        # flight from the dead NIC; checkpointed (durable) outputs are
+        # re-sent from the restored checkpoint, while reset tasks
+        # re-deliver naturally when they re-execute
         for e in np.flatnonzero(was_r[e_prod] & (edge_recv < 0)):
             edge_epoch[e] += 1
             if state[e_prod_l[e]] == 3:
                 send_edge(e, rec, t_rec, resend=True)
+        # requeue everything runnable once recovery completes
         for tid in np.flatnonzero((pred == 0) & (state == 0)):
             tid = int(tid)
             push(max(t_rec, ready_after[tid]), K_READY,
@@ -1101,11 +1188,11 @@ def run_arena_faulty(sim) -> DistributedResult:
             continue
         elif kind == K_DELIVER:
             handle_deliver(t, payload)
-            rank = deliver_list[payload][3]
+            rank = deliver_list[payload][3]  # try launching on the receiver
         elif kind == K_READY:
             tid = payload
             if state[tid] != 0 or pred[tid] != 0:
-                continue
+                continue  # stale (already queued/launched or undone)
             if t < ready_after[tid]:
                 push(float(ready_after[tid]), K_READY, cur_owner(tid),
                      tid)
@@ -1115,7 +1202,7 @@ def run_arena_faulty(sim) -> DistributedResult:
             procs[rank].add_ready(tid)
         elif kind == K_DONE:
             if not alive[rank]:
-                continue
+                continue  # the batch died with its GPU
             proc = procs[rank]
             proc.on_done()
             finished = []

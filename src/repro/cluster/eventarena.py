@@ -12,8 +12,9 @@ Python (constant cost wins), wide cohorts through a vectorized
 ``np.argsort`` — the crossover is :data:`EventArena.VEC_COHORT_MIN`.
 
 Determinism contract (DESIGN.md, "The EventArena engine"): events are
-processed in exactly the legacy order ``(t, seq)``, where ``seq`` is the
-global push counter.  The arena row index *is* the sequence number (rows
+processed in exactly the order a single ``heapq`` of ``(t, seq)`` tuples
+would pop them, where ``seq`` is the global push counter (the fuzz tests
+in ``tests/test_distsim_engines.py`` hold it to that reference).  The arena row index *is* the sequence number (rows
 append monotonically), buckets sort by ``(t, row)`` — a stable sort on
 ``t`` over rows already in seq order — and pushes landing inside the
 bucket currently being drained go through a spill heap merged against
@@ -48,11 +49,8 @@ class EventLoopStats:
 
     Attached to :class:`~repro.cluster.distsim.DistributedResult` as
     ``.events`` and nested under the ``"events"`` key of ``summary()``.
-    The legacy heap loop reports the same counters with every cohort of
-    size 1, so the two engines stay comparable in benchmark tables.
     """
 
-    engine: str
     events: int = 0
     cohorts: int = 0
     max_cohort: int = 0
@@ -68,7 +66,6 @@ class EventLoopStats:
     def as_dict(self) -> dict:
         """JSON-serializable counter dict for ``summary()`` / CLI."""
         return {
-            "engine": self.engine,
             "events": self.events,
             "cohorts": self.cohorts,
             "max_cohort": self.max_cohort,
@@ -78,7 +75,7 @@ class EventLoopStats:
 
 
 class EventArena:
-    """Calendar-queue event store with legacy ``(t, seq)`` pop order.
+    """Calendar-queue event store with ``heapq``'s ``(t, seq)`` pop order.
 
     Parameters
     ----------
@@ -129,7 +126,7 @@ class EventArena:
         self._live = 0
         self._pushes_window = 0
         self._spills_window = 0
-        self.stats = EventLoopStats(engine="arena")
+        self.stats = EventLoopStats()
 
     def __len__(self) -> int:
         return self._live
@@ -239,7 +236,7 @@ class EventArena:
                 self._crow = rows
             elif m < self.VEC_COHORT_MIN:
                 # Timsort on (t, row) pairs: stable total order by the
-                # legacy heap key, cheap at bucket-sized m
+                # (t, seq) key, cheap at bucket-sized m
                 pairs = sorted(zip((t_l[r] for r in rows), rows))
                 kind_l = self._kind
                 rank_l = self._rank
@@ -254,7 +251,7 @@ class EventArena:
                 r = np.asarray(rows, dtype=np.int64)
                 ts = np.fromiter((t_l[x] for x in rows), np.float64, m)
                 # stable sort on t over rows already in seq order ==
-                # total order by (t, seq): the legacy heap key
+                # total order by (t, seq)
                 order = np.argsort(ts, kind="stable")
                 crow = r[order].tolist()
                 self._ct = ts[order].tolist()

@@ -1,11 +1,16 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.io import write_matrix_market
 from repro.matrices import poisson2d
+
+CHAOS_SPEC = str(pathlib.Path(__file__).parent / "faults" / "chaos.json")
 
 
 class TestParser:
@@ -98,3 +103,36 @@ class TestCommands:
                    "--scheduler", "trojan"])
         assert rc == 0
         assert "cholesky" in capsys.readouterr().out
+
+
+class TestDistsim:
+    def test_synthetic_chaos_cell_prints_its_digest(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        rc = main(["distsim", "--synthetic", "24x4", "--gpus", "16",
+                   "--policy", "trojan", "--faults", CHAOS_SPEC,
+                   "--seed", "7", "--verify",
+                   "--out", str(out)])
+        assert rc == 0
+        digest = json.loads(out.read_text())["trace_digest"]
+        assert f"trace digest: {digest}" in capsys.readouterr().out
+
+    def test_engine_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["distsim", "--synthetic", "8x2", "--engine", "arena"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--synthetic", "8x2", "--gpus", "0"], "--gpus must be >= 1"),
+        (["--synthetic", "0x2"], "--synthetic wants NBxBW"),
+        (["--synthetic", "8x-1"], "--synthetic wants NBxBW"),
+        (["--synthetic", "8by2"], "--synthetic wants NBxBW"),
+        (["--synthetic", "8x2", "--faults", "no/such/spec.json"],
+         "--faults: cannot read no/such/spec.json"),
+        (["--synthetic", "8x2", "--seed", "3"], "--seed reseeds the fault"),
+    ])
+    def test_bad_arguments_exit_with_one_line(self, argv, message):
+        """Usage errors are a one-line SystemExit, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["distsim", *argv])
+        assert message in str(exc.value)
+        assert "\n" not in str(exc.value)

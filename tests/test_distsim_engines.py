@@ -1,17 +1,28 @@
-"""The arena event engine vs the legacy heap loop (``repro.cluster.engine``).
+"""The cluster event engine (``repro.cluster.engine``) and what pins it.
 
-The EventArena engine must be *indistinguishable* from the legacy
-per-message heap loop on everything except wall-clock: summaries,
-traces, and event counts are compared bitwise across every policy, both
-fault-free and on every fault fixture in ``tests/faults/``.  Also covers
-the EventArena data structure itself (ordering contract, width
-adaptation), the vectorized launch-time kernel, and the
-``REPRO_DISTSIM_LEGACY`` escape hatch.
+* **Goldens.**  Every policy, fault-free and on every fault fixture in
+  ``tests/faults/``, must reproduce the trace digest, summary and event
+  count frozen in ``tests/golden/distsim_traces.json`` — captured from
+  the per-message heap loops at the last commit that carried them (see
+  the file's header and ``tests/golden/generate_distsim.py``).  Each
+  cell's plan is certified statically before and its trace verified
+  after, so the two views of one plan can never disagree.
+* **Execute == replay.**  A run that *executes* through a numeric
+  backend and a replay over the stats it recorded are the same
+  simulation: the executor-path timing hooks and the stat columns agree.
+* **Refcount lifetime.**  Nothing a run creates sits on a reference
+  cycle; simulations die when ``run()``'s result is dropped.
+* The EventArena data structure itself (ordering contract against a
+  ``heapq`` reference, width adaptation), the vectorized launch-time
+  kernel and the scalar heap-key builder.
 """
 
-import hashlib
+import gc
 import heapq
+import importlib.util
+import json
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -19,117 +30,214 @@ import pytest
 from repro.cluster import (
     DistributedSimulator,
     EventArena,
+    FaultSpec,
     H100_CLUSTER,
+    ProcessGrid,
+    RecordOnceBackend,
     banded_block_dag,
-    default_engine,
 )
+from repro.cluster import engine
 from repro.cluster.engine import SimStatics, single_launch_times
-from repro.cluster.faults import FaultSpec
 from repro.core.executor import EstimateBackend, ReplayBackend
 from repro.gpusim.costmodel import GPUCostModel, KernelLaunch
-from repro.matrices import paper_matrix
-from repro.solvers import PanguLUSolver
+from repro.matrices import poisson2d
+from repro.ordering import compute_ordering
+from repro.solvers.engine import NumericBackend, NumericEngine
+from repro.sparse import permute_symmetric, uniform_partition
+from repro.verify.plan import PlanSpec, verify_plan
+from repro.verify.trace import verify_trace
 
 POLICIES = ["serial", "dmdas", "streams", "trojan"]
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 FAULT_DIR = pathlib.Path(__file__).parent / "faults"
-FIXTURES = sorted(FAULT_DIR.glob("*.json"))
 
 
-@pytest.fixture(scope="module")
-def dist_setup():
-    """Factorised c-71 whose recorded stats feed a ReplayBackend."""
-    a = paper_matrix("c-71", scale=0.6)
-    run = PanguLUSolver(a, block_size=32, scheduler="serial").factorize()
-    return run.dag, ReplayBackend(run.stats)
+def _load_generator():
+    spec = importlib.util.spec_from_file_location(
+        "golden_generate_distsim", GOLDEN_DIR / "generate_distsim.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
-def trace_digest(res) -> str:
-    """Canonical digest of a trace: arrays bitwise, sends as canonical
-    Python numbers (the engines may differ in np-scalar vs float boxing,
-    never in value)."""
-    h = hashlib.sha256()
-    tr = res.trace
-    for arr in (tr.rank, tr.t_start, tr.t_done, tr.edges):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    for s in tr.sends:
-        h.update(repr((
-            int(s.tid), int(s.succ), int(s.src), int(s.dst),
-            float(s.t_send),
-            None if s.t_recv is None else float(s.t_recv),
-            int(s.nbytes))).encode())
-    return h.hexdigest()
+_GEN = _load_generator()
+_GOLDEN = _GEN.load()
 
 
-def assert_engines_identical(dag, backend, policy, spec=None, nprocs=8):
+def assert_matches_golden(name, nprocs, policy, fault=None):
     # differential consistency: a plan the static analyzer certifies
     # clean must also simulate to a trace the TraceVerifier accepts —
     # the two views of the same plan can never disagree
-    from repro.cluster import ProcessGrid
-    from repro.verify.plan import PlanSpec, verify_plan
-    from repro.verify.trace import verify_trace
-
+    dag, _ = _GEN.workload(name)
     plan_report = verify_plan(PlanSpec.from_dag(
-        dag, ProcessGrid(nprocs), faults=spec, gpu=H100_CLUSTER.gpu))
+        dag, ProcessGrid(nprocs), faults=_GEN.fault_spec(fault),
+        gpu=H100_CLUSTER.gpu))
     assert plan_report.ok, plan_report.describe()
-    results = {}
-    for engine in ("arena", "legacy"):
-        results[engine] = DistributedSimulator(
-            dag, backend, H100_CLUSTER, nprocs, policy,
-            record_trace=True, faults=spec, engine=engine).run()
-    ra, rl = results["arena"], results["legacy"]
-    sa, sl = ra.summary(), rl.summary()
-    ea, el = sa.pop("events"), sl.pop("events")
-    assert sa == sl
-    assert trace_digest(ra) == trace_digest(rl)
-    # both engines must process the same number of simulated events —
-    # cohort batching changes *when* accounting happens, not how much
-    assert ea["events"] == el["events"]
-    assert ea["engine"] == "arena" and el["engine"] == "legacy"
-    trace_report = verify_trace(ra.trace)
+    res = _GEN.simulate(name, nprocs, policy, fault)
+    assert _GEN.record(res) == \
+        _GOLDEN["cells"][_GEN.cell_key(name, nprocs, policy, fault)]
+    trace_report = verify_trace(res.trace)
     assert trace_report.ok, trace_report.describe()
-    return ra
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_fault_free_identical(dist_setup, policy):
-    dag, backend = dist_setup
-    assert_engines_identical(dag, backend, policy)
+def test_fault_free_identical(policy):
+    assert_matches_golden("c71", 8, policy)
 
 
-@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("fixture", _GEN.FIXTURES)
 @pytest.mark.parametrize("policy", POLICIES)
-def test_fault_matrix_identical(dist_setup, policy, fixture):
-    dag, backend = dist_setup
-    assert_engines_identical(dag, backend, policy,
-                             spec=FaultSpec.from_json(fixture))
+def test_fault_matrix_identical(policy, fixture):
+    assert_matches_golden("c71", 8, policy, fixture)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_synthetic_estimate_identical(policy):
     """EstimateBackend + banded DAG: the scale-out sweep configuration."""
+    assert_matches_golden("banded24x4", 16, policy)
+
+
+# -- the golden tool -------------------------------------------------------
+
+
+def test_golden_check_is_clean_and_never_writes():
+    before = _GEN.GOLDEN_PATH.read_bytes()
+    assert _GEN.main([]) == 0
+    assert _GEN.GOLDEN_PATH.read_bytes() == before
+
+
+def test_golden_check_reports_drift():
+    cell = ("banded24x4", 16, "trojan", None, None)
+    key = _GEN.cell_key(*cell)
+    tampered = json.loads(json.dumps(_GOLDEN))
+    tampered["cells"][key]["summary"]["kernels"] += 1
+    assert _GEN.drift(tampered, [cell]) == [f"{key}: differs in summary"]
+    assert _GEN.drift(_GOLDEN, [cell]) == []
+
+
+def test_golden_rewrite_keeps_provenance(tmp_path):
+    key = _GEN.cell_key("banded24x4", 16, "serial")
+    tampered = json.loads(json.dumps(_GOLDEN))
+    tampered["cells"][key]["digest"] = "0" * 64
+    path = tmp_path / "traces.json"
+    path.write_text(json.dumps(tampered), encoding="utf-8")
+    assert _GEN.main(["--rewrite"], path=path) == 0
+    rewritten = json.loads(path.read_text(encoding="utf-8"))
+    assert rewritten["header"] == _GOLDEN["header"]
+    assert rewritten["cells"] == _GOLDEN["cells"]
+    assert rewritten["rewritten_cells"] == [key]
+
+
+@pytest.mark.parametrize("header", [
+    {}, {"event_loop": "legacy"}, {"event_loop": "arena", "parent_sha": "x"}])
+def test_golden_tool_refuses_without_provenance(tmp_path, header):
+    path = tmp_path / "traces.json"
+    path.write_text(json.dumps({"header": header, "cells": {}}))
+    for argv in ([], ["--rewrite"]):
+        with pytest.raises(SystemExit, match="provenance"):
+            _GEN.main(argv, path=path)
+    with pytest.raises(SystemExit, match="no golden file"):
+        _GEN.main(["--rewrite"], path=tmp_path / "missing.json")
+
+
+# -- execute == replay -----------------------------------------------------
+
+
+def _numeric_engine():
+    a = poisson2d(14)
+    pa = permute_symmetric(a, compute_ordering(a, "mindeg"))
+    return NumericEngine(pa, uniform_partition(a.nrows, 16),
+                         sparse_tiles=True)
+
+
+def _assert_execute_equals_replay(make_backend, policy, spec=None):
+    eng = _numeric_engine()
+    backend = make_backend(eng)
+    executed = DistributedSimulator(
+        eng.dag, backend, H100_CLUSTER, 4, policy, record_trace=True,
+        faults=spec).run()
+    replayed = DistributedSimulator(
+        eng.dag, ReplayBackend(backend.stats), H100_CLUSTER, 4, policy,
+        record_trace=True, faults=spec).run()
+    assert executed.trace.digest() == replayed.trace.digest()
+    assert executed.makespan == replayed.makespan
+    assert executed.total_flops == replayed.total_flops
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_numeric_execution_equals_replay(policy):
+    """The executor-path timing hooks == the stat columns, per policy."""
+    _assert_execute_equals_replay(NumericBackend, policy)
+
+
+@pytest.mark.parametrize("fault", [None, "chaos"])
+def test_record_once_execution_equals_replay(fault):
+    _assert_execute_equals_replay(
+        lambda eng: RecordOnceBackend(eng, eng.dag), "trojan",
+        _GEN.fault_spec(fault))
+
+
+# -- no reference cycle in per-run state -----------------------------------
+
+
+@pytest.mark.parametrize("fault", [None, "chaos"], ids=["lossless", "chaos"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_simulation_dies_by_refcount(monkeypatch, policy, fault):
+    """A run's statics and rank states are freed without the cyclic GC."""
+    born = {}
+
+    class SpyStatics(engine.SimStatics):
+        def __init__(self, *args):
+            super().__init__(*args)
+            born["statics"] = weakref.ref(self)
+
+    class SpyProc(engine._ProcState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            born.setdefault("proc", weakref.ref(self))
+
+    monkeypatch.setattr(engine, "SimStatics", SpyStatics)
+    monkeypatch.setattr(engine, "_ProcState", SpyProc)
     dag = banded_block_dag(24, 4)
-    assert_engines_identical(dag, EstimateBackend(), policy, nprocs=16)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = DistributedSimulator(dag, EstimateBackend(), H100_CLUSTER, 16,
+                                   policy, faults=_GEN.fault_spec(fault))
+        res = sim.run()
+        assert res.total_tasks == dag.n_tasks
+        assert set(born) == {"statics", "proc"}  # the spies saw the run
+        del sim, res
+        assert born["statics"]() is None
+        assert born["proc"]() is None
+    finally:
+        gc.enable()
 
 
-def test_engine_validation(dist_setup):
-    dag, backend = dist_setup
-    with pytest.raises(ValueError, match="unknown engine"):
-        DistributedSimulator(dag, backend, H100_CLUSTER, 4, "serial",
-                             engine="bogus")
+# -- scalar heap keys ------------------------------------------------------
 
 
-def test_legacy_env_knob(dist_setup, monkeypatch):
-    """``REPRO_DISTSIM_LEGACY=1`` routes runs through the legacy loop."""
-    dag, backend = dist_setup
-    monkeypatch.delenv("REPRO_DISTSIM_LEGACY", raising=False)
-    assert default_engine() == "arena"
-    monkeypatch.setenv("REPRO_DISTSIM_LEGACY", "1")
-    assert default_engine() == "legacy"
-    res = DistributedSimulator(dag, backend, H100_CLUSTER, 4,
-                               "trojan").run()
-    assert res.events.engine == "legacy"
-    monkeypatch.setenv("REPRO_DISTSIM_LEGACY", "0")
-    assert default_engine() == "arena"
+def test_int_keys_wide_columns_keep_tuple_order():
+    """Columns too wide for an int64 key take the Python-int path: the
+    same encoding, so still ordered as the (major, minor, tid) tuples."""
+    rng = np.random.default_rng(11)
+    n = 500
+    major = rng.integers(0, 40, n)
+    minor = rng.integers(0, 25, n)
+    by_tuple = sorted(range(n), key=lambda t: (major[t], minor[t], t))
+    narrow = engine._int_keys(major, minor)
+    wide = engine._int_keys(major * 2 ** 40, minor * 2 ** 20)
+    assert max(narrow) < engine._MAX_KEY <= max(wide)
+    for keys in (narrow, wide):
+        assert [k % n for k in keys] == list(range(n))
+        assert sorted(range(n), key=keys.__getitem__) == by_tuple
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_wide_key_path_reproduces_golden(monkeypatch, policy):
+    """Forcing every key through the Python-int path changes nothing."""
+    monkeypatch.setattr(engine, "_MAX_KEY", 0)
+    assert_matches_golden("banded24x4", 16, policy)
 
 
 # -- EventArena data structure -------------------------------------------

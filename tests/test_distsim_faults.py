@@ -134,15 +134,17 @@ class TestSpec:
 
 
 class TestLosslessEquivalence:
-    def test_matches_legacy_loop(self, dist_setup, base_result):
-        """A fault spec with no faults reproduces the lossless run."""
+    def test_empty_spec_fault_loop_matches_lossless_loop(
+            self, dist_setup, base_result):
+        """The fault loop under a spec with no faults reproduces the
+        lossless loop's run."""
         res = _run(dist_setup, FaultSpec(seed=42), trace=False)
         assert res.messages == base_result.messages
         assert res.comm_bytes == base_result.comm_bytes
         assert res.total_kernels == base_result.total_kernels
         assert res.total_tasks == base_result.total_tasks
         # Arrival-time predecessor accounting breaks simultaneous-ready
-        # ties differently from the legacy send-time loop; the makespan
+        # ties differently from the lossless send-time loop; the makespan
         # agrees to float noise but not bit-exactly.
         assert res.makespan == pytest.approx(base_result.makespan,
                                              rel=1e-3)
@@ -373,6 +375,6 @@ class TestCLI:
         assert not verify_trace(tr).violations
 
     def test_runs_without_faults(self, capsys):
-        rc = cli.main(self.WORKLOAD)
+        rc = cli.main(self.WORKLOAD[:-2])  # --seed needs --faults
         assert rc == 0
         assert "makespan" in capsys.readouterr().out or True
