@@ -43,10 +43,38 @@ class FusionResult:
         """Aggregate recorded per-task stats onto the fused ids."""
         out = {}
         for new_tid, group in enumerate(self.members):
-            flops = sum(stats[t].flops for t in group)
-            nbytes = sum(stats[t].bytes for t in group)
-            out[new_tid] = KernelStats(flops=flops, bytes=nbytes)
+            picked = [stats[t] for t in group]
+            out[new_tid] = KernelStats(flops=sum(s.flops for s in picked),
+                                       bytes=sum(s.bytes for s in picked))
         return out
+
+
+def schur_groups(dag: TaskDAG) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Schur-fusion grouping as arrays, without building a fused DAG.
+
+    Returns ``(new_id, indptr, member_ids)``: ``new_id[tid]`` is the
+    fused id of original task ``tid`` (groups numbered by first
+    appearance, exactly as :func:`merge_schur_tasks` numbers its tasks),
+    and ``member_ids[indptr[g]:indptr[g + 1]]`` are group ``g``'s
+    original task ids, ascending.  The warm refactorise path uses this to
+    expand a recorded fused schedule back to the tasks it executes.
+    """
+    arrays = dag.task_arrays()
+    n = dag.n_tasks
+    nb = dag.part.nblocks
+    # SSSSM tasks group by (step k, target row i); every other task is
+    # alone in its group
+    key = np.where(arrays.type_code == int(TaskType.SSSSM),
+                   arrays.k * nb + arrays.i,
+                   nb * nb + np.arange(n, dtype=np.int64))
+    _, first, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int64)
+    new_id = rank[inverse]
+    indptr = np.zeros(first.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(new_id, minlength=first.size), out=indptr[1:])
+    return new_id, indptr, np.argsort(new_id, kind="stable")
 
 
 def merge_schur_tasks(dag: TaskDAG) -> FusionResult:
@@ -55,37 +83,27 @@ def merge_schur_tasks(dag: TaskDAG) -> FusionResult:
     Non-SSSSM tasks are kept one-to-one.  Duplicate edges created by the
     union are collapsed, so predecessor counts stay consistent.
     """
-    group_of: dict[tuple[int, int], int] = {}
-    members: list[list[int]] = []
-    new_id = np.empty(dag.n_tasks, dtype=np.int64)
+    new_id, indptr, member_ids = schur_groups(dag)
+    members = [member_ids[a:b].tolist()
+               for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
     new_tasks: list[Task] = []
-
-    for task in dag.tasks:
-        if task.type == TaskType.SSSSM:
-            key = (task.k, task.i)
-            if key in group_of:
-                g = group_of[key]
-                new_id[task.tid] = g
-                members[g].append(task.tid)
-                fused = new_tasks[g]
-                fused.cols += task.cols
-                fused.nnz += task.nnz
-                fused.flops_est += task.flops_est
-                fused.bytes_est += task.bytes_est
-                fused.j = min(fused.j, task.j)
-                continue
-        g = len(new_tasks)
-        new_id[task.tid] = g
-        members.append([task.tid])
-        new_tasks.append(Task(
+    for g, group in enumerate(members):
+        task = dag.tasks[group[0]]
+        fused = Task(
             tid=g, type=task.type, k=task.k, i=task.i, j=task.j,
             rows=task.rows, cols=task.cols, nnz=task.nnz,
             sparse=task.sparse, atomic=task.atomic,
             flops_est=task.flops_est, bytes_est=task.bytes_est,
             owner=task.owner,
-        ))
-        if task.type == TaskType.SSSSM:
-            group_of[(task.k, task.i)] = g
+        )
+        for tid in group[1:]:
+            task = dag.tasks[tid]
+            fused.cols += task.cols
+            fused.nnz += task.nnz
+            fused.flops_est += task.flops_est
+            fused.bytes_est += task.bytes_est
+            fused.j = min(fused.j, task.j)
+        new_tasks.append(fused)
 
     n = len(new_tasks)
     succ_sets: list[set[int]] = [set() for _ in range(n)]

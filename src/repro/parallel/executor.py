@@ -362,10 +362,21 @@ class ParallelExecutor:
             deadline = time.monotonic() + 10.0
             for proc in self._procs:
                 proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            self._kill_pool()
+            # a worker that returned has read its "exit", the last thing
+            # put on its queue: nothing is left for the feeder to write
+            self._kill_pool(
+                drained=all(p.exitcode == 0 for p in self._procs))
         self._release_shared()
 
-    def _kill_pool(self) -> None:
+    def _kill_pool(self, drained: bool = False) -> None:
+        """Stop the workers and drop the pool's queues and barrier.
+
+        With ``drained`` queues (a graceful shutdown) the feeder threads
+        are joined, so the queues' named semaphores are gone when this
+        returns; after a crash a feeder may be blocked writing to a
+        worker that will never read, so it is abandoned and the names
+        go when it notices the close, on its own thread.
+        """
         # SIGKILL, not SIGTERM: it needs no lock (a dead worker may hold
         # the barrier's), frees peers parked at the barrier, and reaches
         # a stopped process
@@ -375,8 +386,12 @@ class ParallelExecutor:
         for proc in self._procs:
             proc.join(timeout=5.0)
         for q in self._task_qs:
-            q.cancel_join_thread()
-            q.close()
+            if drained:
+                q.close()
+                q.join_thread()
+            else:
+                q.cancel_join_thread()
+                q.close()
         if self._result_q is not None:
             self._result_q.cancel_join_thread()
             self._result_q.close()

@@ -88,18 +88,32 @@ def _map_onto(pools: list[np.ndarray], names: tuple[str, ...]
 def _release(obj) -> None:
     """Drop pool views and close the segments (creator keeps the names).
 
-    numpy views pin the underlying mmap, so the pool references are
-    dropped and collected first; a still-exported buffer (e.g. a caller
-    holding a tile view) downgrades close to a no-op rather than an
-    error — ``unlink`` is what removes the ``/dev/shm`` name.
+    The pool arrays are dropped first — reference counting frees them
+    at once.  Only when a segment's buffer is still exported afterwards
+    (an export caught in a reference cycle) is the heap collected and
+    the close retried: a full collection costs time proportional to
+    everything alive in the process, and every pool solve closes two RHS
+    pools on each side.  A buffer exported even then (a caller holding
+    one) downgrades close to a no-op rather than an error — ``unlink``
+    is what removes the ``/dev/shm`` name.
     """
     obj.pools = []
+    if _close_segments(obj._segments):
+        return
     gc.collect()
-    for shm in obj._segments:
+    _close_segments(obj._segments)
+
+
+def _close_segments(segments) -> bool:
+    """Close every segment that can be; False if any is still exported
+    (a ``SharedMemory.close`` that failed can be called again)."""
+    done = True
+    for shm in segments:
         try:
             shm.close()
         except BufferError:
-            pass
+            done = False
+    return done
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ The makespan is Brent's bound over the task DAG:
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ CPU_PROFILES = {
 """Supported CPU solver profiles."""
 
 
-def cpu_makespan(dag: TaskDAG, stats: dict[int, KernelStats],
+def cpu_makespan(dag: TaskDAG, stats: Mapping[int, KernelStats],
                  cpu: CPUSpec, efficiency: float) -> float:
     """Simulated CPU numeric-phase seconds from recorded per-task stats.
 
@@ -88,7 +89,7 @@ class CPUSolverResult:
     total_flops: int
     phase_seconds: dict[str, float]
     dag: TaskDAG
-    stats: dict[int, KernelStats]
+    stats: Mapping[int, KernelStats]
 
     @property
     def gflops(self) -> float:

@@ -12,6 +12,7 @@ reassociation of commuting Schur updates.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,217 @@ from repro.sparse.blocking import Partition, split_tiles
 from repro.symbolic import block_fill, symbolic_fill
 
 
+#: Kernel-group opcodes.  0–3 are one per-task kernel call of that
+#: :class:`TaskType` (GETRF always; everything on the oracle path);
+#: the stacked forms follow in execution order within a launch.
+_OP_TSTRF = 4      #: stacked multi-RHS triangular solve, row panels
+_OP_GEESM = 5      #: stacked multi-RHS triangular solve, column panels
+_OP_SSSSM = 6      #: stacked conflict-free Schur update
+_OP_PRODUCTS = 7   #: stacked Schur products awaiting the serial apply
+_OP_APPLY = 8      #: ordered serial apply of a launch's products
+
+
+@dataclass(frozen=True)
+class KernelGroups:
+    """Flat index form of the kernel groups of one or many launches.
+
+    The pure-index half of :func:`run_batch_on_arena`: everything a
+    launch needs that depends only on the pattern (which tasks share a
+    stacked kernel, which pool slots they read and write, which Schur
+    updates must apply serially and in what order) and nothing that
+    depends on tile values.  Groups are stored launch by launch in
+    execution order; the structure holds integer arrays only — no
+    arena, engine or DAG reference — so it can outlive a run and be
+    replayed on every same-pattern refactorise.
+
+    Attributes
+    ----------
+    n_tasks:
+        Number of tasks indexed (the length of the stat arrays
+        :func:`execute_kernel_groups` returns).
+    op:
+        Per-group opcode (see the ``_OP_*`` constants).
+    pool_t, pool_a, pool_b:
+        Per-group shape-class pool of the written tile and of the two
+        read operands (diagonal tile for the triangular solves; L and U
+        panels for Schur updates).
+    offsets:
+        ``offsets[g]:offsets[g + 1]`` is group ``g``'s slice of the
+        per-member arrays.
+    pos:
+        Per-member position in the indexed task list.
+    slot_t, slot_a, slot_b:
+        Per-member pool slots of the three tiles.  Members of an apply
+        group carry their target's *pool id* in ``slot_a`` (a launch's
+        serial list spans shape classes).
+    """
+
+    n_tasks: int
+    op: np.ndarray
+    pool_t: np.ndarray
+    pool_a: np.ndarray
+    pool_b: np.ndarray
+    offsets: np.ndarray
+    pos: np.ndarray
+    slot_t: np.ndarray
+    slot_a: np.ndarray
+    slot_b: np.ndarray
+
+
+def index_kernel_groups(arena, arrays, tids: np.ndarray, serial: np.ndarray,
+                        *, offsets: np.ndarray | None = None,
+                        batch_kernels: bool = True) -> KernelGroups:
+    """Partition launches into kernel groups — no tile value is read.
+
+    ``tids`` concatenates the launches' task ids (``offsets`` are the
+    launch boundaries; ``None`` means one launch) and ``serial`` marks
+    the Schur updates that must go through the ordered serial apply:
+    every one sharing a target tile with another member of its launch,
+    plus any whose accounting reads the target's post-update state.
+    Within a launch, GETRF tasks (and every task of a
+    single-task launch, or all of them with ``batch_kernels`` off) stay
+    per-task calls in launch order; TSTRF, GEESM and conflict-free SSSSM
+    tasks group by exact shape class (target pool, first-operand pool —
+    which pins all three tile shapes); serial SSSSMs group the same way
+    for their products and then form one apply group in launch order.
+    All launches are grouped in one stable sort, so indexing a whole
+    schedule costs a handful of array passes, not one per launch.
+    """
+    tids = np.asarray(tids, dtype=np.int64)
+    n = tids.size
+    code = arrays.type_code[tids].astype(np.int64)
+    kk = arrays.k[tids]
+    ii = arrays.i[tids]
+    jj = arrays.j[tids]
+    schur = code == int(TaskType.SSSSM)
+    # written tile (i, j) for every type; operands (k, k) for the panel
+    # solves, L(i, k) and U(k, j) for Schur updates
+    tcls, tslot = arena.locate(ii, jj)
+    acls, aslot = arena.locate(np.where(schur, ii, kk), kk)
+    bcls, bslot = arena.locate(kk, np.where(schur, jj, kk))
+    flat = np.arange(n, dtype=np.int64)
+    if offsets is None:
+        launch = np.zeros(n, dtype=np.int64)
+        alone = n == 1
+    else:
+        sizes = np.diff(offsets)
+        launch = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        alone = sizes[launch] == 1
+    if batch_kernels:
+        per_task = (code == int(TaskType.GETRF)) | alone
+    else:
+        per_task = np.ones(n, dtype=bool)
+    rank = np.where(per_task, 0,
+                    np.where(schur & serial, _OP_PRODUCTS, code + 3))
+    npools = len(arena.pools)
+    # per-task entries get a unique key (one group each, launch order)
+    shape_key = np.where(per_task, flat, tcls * npools + acls)
+    apply_of = np.flatnonzero(rank == _OP_PRODUCTS)
+    if apply_of.size:
+        # serial members appear twice: in their products group and in
+        # their launch's apply group (pool id rides in slot_a)
+        launch = np.concatenate([launch, launch[apply_of]])
+        rank = np.concatenate(
+            [rank, np.full(apply_of.size, _OP_APPLY, dtype=np.int64)])
+        shape_key = np.concatenate(
+            [shape_key, np.zeros(apply_of.size, dtype=np.int64)])
+        flat = np.concatenate([flat, apply_of])
+        aslot = np.concatenate([aslot, tcls[apply_of]])
+    span = max(n, npools * npools) + 1
+    sort_key = (launch * (_OP_APPLY + 1) + rank) * span + shape_key
+    order = np.argsort(sort_key, kind="stable")
+    sort_key = sort_key[order]
+    starts = np.flatnonzero(np.diff(sort_key, prepend=-1))
+    pos = flat[order]
+    first = pos[starts]
+    rank = rank[order][starts]
+    return KernelGroups(
+        n_tasks=n,
+        op=np.where(rank == 0, code[first], rank),
+        pool_t=tcls[first], pool_a=acls[first], pool_b=bcls[first],
+        offsets=np.append(starts, order.size),
+        pos=pos, slot_t=tslot[pos], slot_a=aslot[order], slot_b=bslot[pos],
+    )
+
+
+# verify: effects(arena)
+def execute_kernel_groups(arena, groups: KernelGroups, atomic: np.ndarray,
+                          *, sparse_tiles: bool = False
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Run indexed kernel groups on the arena's current tile values.
+
+    The value-dependent half of :func:`run_batch_on_arena`.  ``atomic``
+    is the per-task *accounting* flag (atomic traffic counts the target
+    once more); which updates apply serially was already decided by the
+    index step, and the two need not coincide — a fused Schur launch
+    replayed member by member has conflicts its launch-level flags do
+    not mark.  Returns per-task ``(flops, bytes)`` int64 arrays in the
+    indexed task order.
+    """
+    flops = np.zeros(groups.n_tasks, dtype=np.int64)
+    nbytes = np.zeros(groups.n_tasks, dtype=np.int64)
+    sp = sparse_tiles
+    getrf, tstrf, geesm, ssssm = (int(TaskType.GETRF), int(TaskType.TSTRF),
+                                  int(TaskType.GEESM), int(TaskType.SSSSM))
+    pools = arena.pools
+    pos_of, slot_t, slot_a, slot_b = (groups.pos, groups.slot_t,
+                                      groups.slot_a, groups.slot_b)
+    bounds = groups.offsets.tolist()
+    products: dict = {}
+    for op, pt, pa, pb, lo, hi in zip(
+            groups.op.tolist(), groups.pool_t.tolist(),
+            groups.pool_a.tolist(), groups.pool_b.tolist(),
+            bounds, bounds[1:]):
+        pos = pos_of[lo:hi]
+        if op <= ssssm:
+            tile = pools[pt][slot_t[lo]]
+            if op == getrf:
+                s = getrf_kernel(tile, sparse=sp)
+            elif op == tstrf:
+                s = tstrf_kernel(tile, pools[pa][slot_a[lo]], sparse=sp)
+            elif op == geesm:
+                s = geesm_kernel(tile, pools[pa][slot_a[lo]], sparse=sp)
+            else:
+                s = ssssm_kernel(tile, pools[pa][slot_a[lo]],
+                                 pools[pb][slot_b[lo]], sparse=sp,
+                                 atomic=bool(atomic[pos[0]]))
+            flops[pos] = s.flops
+            nbytes[pos] = s.bytes
+        elif op == _OP_APPLY:
+            # ordered serial apply: replays the per-task launch order
+            # bit for bit, including the intermediate-state nonzero
+            # counts the byte accounting reads
+            after = np.empty(hi - lo, dtype=np.int64)
+            for at, (q, c, s) in enumerate(zip(pos.tolist(),
+                                               slot_a[lo:hi].tolist(),
+                                               slot_t[lo:hi].tolist())):
+                view = pools[c][s]
+                view -= products.pop(q)
+                after[at] = np.count_nonzero(view)
+            nbytes[pos] = 8 * (nbytes[pos] + after * (int(sp) + atomic[pos]))
+        elif op == _OP_PRODUCTS:
+            p, f, base = batched_ssssm_products(
+                pools[pa][slot_a[lo:hi]], pools[pb][slot_b[lo:hi]], sp)
+            flops[pos] = f
+            nbytes[pos] = base  # words; the apply group finishes them
+            products.update(zip(pos.tolist(), p))
+        else:
+            pool = pools[pt]
+            slots = slot_t[lo:hi]
+            stack = pool[slots]
+            if op == _OP_SSSSM:
+                f, b = batched_ssssm(stack, pools[pa][slot_a[lo:hi]],
+                                     pools[pb][slot_b[lo:hi]], sp)
+            elif op == _OP_TSTRF:
+                f, b = batched_tstrf(stack, pools[pa][slot_a[lo:hi]], sp)
+            else:
+                f, b = batched_geesm(stack, pools[pa][slot_a[lo:hi]], sp)
+            pool[slots] = stack
+            flops[pos] = f
+            nbytes[pos] = b
+    return flops, nbytes
+
+
 # verify: effects(arena)
 def run_batch_on_arena(arena, tids: np.ndarray, atomic: np.ndarray, arrays,
                        *, sparse_tiles: bool = False,
@@ -60,15 +272,18 @@ def run_batch_on_arena(arena, tids: np.ndarray, atomic: np.ndarray, arrays,
     multiprocess path executes the *identical* kernel-group code the
     single-process engine runs.
 
-    Partitions the batch by (task type, tile shape class): TSTRF and
-    GEESM groups become one stacked multi-RHS triangular solve (each
-    slice against its own diagonal tile); conflict-free SSSSM groups
-    become one stacked ``np.matmul``; atomic (same-target) SSSSMs get
-    their products from a stacked matmul too, applied serially in batch
-    order because their byte accounting depends on the intermediate
-    target state; only GETRF tasks run through the per-task kernel.
-    Returns per-task ``(flops, bytes)`` int64 arrays aligned with
-    ``tids``.
+    It is the composition of :func:`index_kernel_groups` (partition the
+    batch by task type and tile shape class) and
+    :func:`execute_kernel_groups` (run the groups): TSTRF and GEESM
+    groups become one stacked multi-RHS triangular solve (each slice
+    against its own diagonal tile); conflict-free SSSSM groups become
+    one stacked ``np.matmul``; atomic (same-target) SSSSMs get their
+    products from a stacked matmul too, applied serially in batch order
+    because their byte accounting depends on the intermediate target
+    state; only GETRF tasks run through the per-task kernel.  The warm
+    refactorise path runs the same two steps — the index step once per
+    pattern, the execution step every Newton step.  Returns per-task
+    ``(flops, bytes)`` int64 arrays aligned with ``tids``.
 
     Safe because co-batched tasks are mutually independent (no DAG
     edges within a ready set), so they touch pairwise-disjoint tiles
@@ -79,115 +294,11 @@ def run_batch_on_arena(arena, tids: np.ndarray, atomic: np.ndarray, arrays,
     partition of a batch across processes that keeps same-target
     SSSSMs together and in batch order.
     """
-    tids = np.asarray(tids, dtype=np.int64)
-    n = tids.size
-    flops = np.zeros(n, dtype=np.int64)
-    nbytes = np.zeros(n, dtype=np.int64)
-    sp = sparse_tiles
-    code = arrays.type_code[tids]
-    kk = arrays.k[tids]
-    ii = arrays.i[tids]
-    jj = arrays.j[tids]
-    if not batch_kernels or n == 1:
-        straggler = np.ones(n, dtype=bool)
-    else:
-        straggler = code == int(TaskType.GETRF)
-    for idx in np.flatnonzero(straggler):
-        c = int(code[idx])
-        k = int(kk[idx])
-        if c == int(TaskType.GETRF):
-            s = getrf_kernel(arena.view(k, k), sparse=sp)
-        elif c == int(TaskType.TSTRF):
-            s = tstrf_kernel(arena.view(int(ii[idx]), k),
-                             arena.view(k, k), sparse=sp)
-        elif c == int(TaskType.GEESM):
-            s = geesm_kernel(arena.view(k, int(jj[idx])),
-                             arena.view(k, k), sparse=sp)
-        else:
-            i, j = int(ii[idx]), int(jj[idx])
-            s = ssssm_kernel(arena.view(i, j), arena.view(i, k),
-                             arena.view(k, j), sparse=sp,
-                             atomic=bool(atomic[idx]))
-        flops[idx] = s.flops
-        nbytes[idx] = s.bytes
-    if straggler.all():
-        return flops, nbytes
-    pools = arena.pools
-
-    def _solve_groups(sel, row_idx, col_idx, solver):
-        """Group panel tiles by shape class; one stacked triangular
-        solve per group, each slice against its own diagonal tile."""
-        cls, slots = arena.locate(row_idx[sel], col_idx[sel])
-        dcls, dslots = arena.locate(kk[sel], kk[sel])
-        for c in np.unique(cls):
-            mask = cls == c
-            mem = sel[mask]
-            pool = pools[int(c)]
-            gslots = slots[mask]
-            stack = pool[gslots]
-            dstack = pools[int(dcls[mask][0])][dslots[mask]]
-            f, b = solver(stack, dstack, sp)
-            pool[gslots] = stack
-            flops[mem] = f
-            nbytes[mem] = b
-
-    sel = np.flatnonzero(code == int(TaskType.TSTRF))
-    if sel.size:
-        _solve_groups(sel, ii, kk, batched_tstrf)
-    sel = np.flatnonzero(code == int(TaskType.GEESM))
-    if sel.size:
-        _solve_groups(sel, kk, jj, batched_geesm)
-    sel = np.flatnonzero(code == int(TaskType.SSSSM))
-    if sel.size:
-        tcls, tslots = arena.locate(ii[sel], jj[sel])
-        lcls, lslots = arena.locate(ii[sel], kk[sel])
-        ucls, uslots = arena.locate(kk[sel], jj[sel])
-        # (target class, L class) pins all three tile shapes
-        key = tcls * len(pools) + lcls
-        atom = atomic[sel]
-        for kv in np.unique(key):
-            mask = (key == kv) & ~atom
-            if not mask.any():
-                continue
-            mem = sel[mask]
-            tpool = pools[int(tcls[mask][0])]
-            lpool = pools[int(lcls[mask][0])]
-            upool = pools[int(ucls[mask][0])]
-            gslots = tslots[mask]
-            tstack = tpool[gslots]
-            f, b = batched_ssssm(tstack, lpool[lslots[mask]],
-                                 upool[uslots[mask]], sp)
-            tpool[gslots] = tstack
-            flops[mem] = f
-            nbytes[mem] = b
-        apos = np.flatnonzero(atom)
-        if apos.size:
-            # atomic (same-target) updates: products in stacked
-            # matmuls per group, then a serial ordered apply that
-            # replays the per-task batch order — bit-identical,
-            # including the intermediate-state byte accounting
-            prods: list = [None] * apos.size
-            base = np.zeros(apos.size, dtype=np.int64)
-            akey = key[apos]
-            for kv in np.unique(akey):
-                mask = akey == kv
-                gpos = apos[mask]
-                lpool = pools[int(lcls[gpos[0]])]
-                upool = pools[int(ucls[gpos[0]])]
-                p, f, b0 = batched_ssssm_products(
-                    lpool[lslots[gpos]], upool[uslots[gpos]], sp)
-                flops[sel[gpos]] = f
-                base[mask] = b0
-                for row, pos in enumerate(np.flatnonzero(mask)):
-                    prods[pos] = p[row]
-            tviews = [pools[c][s] for c, s
-                      in zip(tcls[apos].tolist(), tslots[apos].tolist())]
-            after = np.empty(apos.size, dtype=np.int64)
-            for pos, view in enumerate(tviews):
-                view -= prods[pos]
-                after[pos] = np.count_nonzero(view)
-            nbytes[sel[apos]] = 8 * (base + (2 * after if sp else after))
-    return flops, nbytes
+    atomic = np.asarray(atomic, dtype=bool)
+    groups = index_kernel_groups(arena, arrays, tids, atomic,
+                                 batch_kernels=batch_kernels)
+    return execute_kernel_groups(arena, groups, atomic,
+                                 sparse_tiles=sparse_tiles)
 
 
 class NumericEngine:
@@ -327,27 +438,26 @@ class NumericEngine:
         factored tiles, dropping numerically-zero scratch entries."""
         n = self.part.n
         bounds = self.part.boundaries
+        arena = self.arena
         l_rows, l_cols, l_vals = [], [], []
         u_rows, u_cols, u_vals = [], [], []
-        for (bi, bj), tile in self.tiles.items():
-            r0, c0 = int(bounds[bi]), int(bounds[bj])
-            if bi > bj:
-                rr, cc = np.nonzero(np.abs(tile) > tol)
-                l_rows.append(rr + r0); l_cols.append(cc + c0)
-                l_vals.append(tile[rr, cc])
-            elif bi < bj:
-                rr, cc = np.nonzero(np.abs(tile) > tol)
-                u_rows.append(rr + r0); u_cols.append(cc + c0)
-                u_vals.append(tile[rr, cc])
-            else:
-                low = np.tril(tile, -1)
-                rr, cc = np.nonzero(np.abs(low) > tol)
-                l_rows.append(rr + r0); l_cols.append(cc + c0)
-                l_vals.append(low[rr, cc])
-                up = np.triu(tile)
-                rr, cc = np.nonzero(np.abs(up) > tol)
-                u_rows.append(rr + r0); u_cols.append(cc + c0)
-                u_vals.append(up[rr, cc])
+        # one nonzero scan per shape pool; entries below the diagonal
+        # (whole tiles, or the strict lower triangle of diagonal tiles)
+        # belong to L, the rest to U
+        for pool, pool_bi, pool_bj in zip(arena.pools, arena.pool_bi,
+                                          arena.pool_bj):
+            slot, rr, cc = np.nonzero(np.abs(pool) > tol)
+            bi = pool_bi[slot]
+            bj = pool_bj[slot]
+            rows = rr + bounds[bi]
+            cols = cc + bounds[bj]
+            vals = pool[slot, rr, cc]
+            lower = (bi > bj) | ((bi == bj) & (rr > cc))
+            l_rows.append(rows[lower]); l_cols.append(cols[lower])
+            l_vals.append(vals[lower])
+            upper = ~lower
+            u_rows.append(rows[upper]); u_cols.append(cols[upper])
+            u_vals.append(vals[upper])
         diag = np.arange(n, dtype=np.int64)
         l_rows.append(diag); l_cols.append(diag)
         l_vals.append(np.ones(n))
@@ -388,25 +498,37 @@ class NumericEngine:
                           batch_kernels=batch_kernels).x
 
 
-class NumericBackend:
-    """Backend wrapper that records exact per-task stats while executing.
+class LazyKernelStats(Mapping):
+    """Read-only ``{tid: KernelStats}`` that materialises on first read.
 
-    The recorded stats power :class:`~repro.core.executor.ReplayBackend`
-    so scheduler/GPU sweeps never repeat the arithmetic.
+    Launches record raw per-task ``(tids, flops, bytes)`` arrays; turning
+    20k+ of those rows into :class:`KernelStats` objects happens in bulk
+    on the first item access, iteration, ``len`` or comparison — never
+    on the numeric hot path, and not at all for a refactorise whose
+    stats nobody reads.  Compares equal to a plain dict with the same
+    items.
     """
 
-    def __init__(self, engine: NumericEngine):
-        self._engine = engine
+    def __init__(self):
         self._stats: dict[int, KernelStats] = {}
         self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    @property
-    def stats(self) -> dict[int, KernelStats]:
-        """Per-task stats dict, materialised lazily from batch buffers.
+    def record(self, tid: int, stats: KernelStats) -> None:
+        """Store one task's stats (the per-task execution path)."""
+        self._stats[tid] = stats
 
-        Batched launches record raw per-task arrays; turning 20k+ of
-        those rows into :class:`KernelStats` objects happens here, in
-        bulk, on first access — off the numeric execution hot path."""
+    def record_arrays(self, tids: np.ndarray, flops: np.ndarray,
+                      nbytes: np.ndarray) -> None:
+        """Buffer one launch's (or one replay's) per-task stat arrays;
+        the arrays are kept, not copied."""
+        self._pending.append((tids, flops, nbytes))
+
+    @property
+    def materialized(self) -> bool:
+        """Whether every recorded row has been turned into an object."""
+        return not self._pending
+
+    def _dict(self) -> dict[int, KernelStats]:
         if self._pending:
             stats = self._stats
             for tids, flops, nbytes in self._pending:
@@ -416,10 +538,42 @@ class NumericBackend:
             self._pending.clear()
         return self._stats
 
+    def __getitem__(self, tid: int) -> KernelStats:
+        return self._dict()[tid]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    # the dict's own views: the Mapping mixins would route every element
+    # through ``__getitem__``, and replay backends iterate 20k+ of them
+    def keys(self):
+        return self._dict().keys()
+
+    def values(self):
+        return self._dict().values()
+
+    def items(self):
+        return self._dict().items()
+
+
+class NumericBackend:
+    """Backend wrapper that records exact per-task stats while executing.
+
+    The recorded stats power :class:`~repro.core.executor.ReplayBackend`
+    so scheduler/GPU sweeps never repeat the arithmetic.
+    """
+
+    def __init__(self, engine: NumericEngine):
+        self._engine = engine
+        self.stats = LazyKernelStats()
+
     def run_task(self, task: Task, atomic: bool) -> KernelStats:
         """Execute numerically and memoise the exact stats."""
         stats = self._engine.run_task(task, atomic)
-        self._stats[task.tid] = stats
+        self.stats.record(task.tid, stats)
         return stats
 
     def run_batch_tasks(self, tids: np.ndarray, atomic: np.ndarray,
@@ -427,8 +581,8 @@ class NumericBackend:
         """Execute one launch via the engine's batched kernel groups,
         buffering per-task stats, and return the launch totals."""
         flops, nbytes = self._engine.run_batch_tasks(tids, atomic, arrays)
-        self._pending.append((np.asarray(tids, dtype=np.int64).copy(),
-                              flops, nbytes))
+        self.stats.record_arrays(np.asarray(tids, dtype=np.int64).copy(),
+                                 flops, nbytes)
         return int(flops.sum()), int(nbytes.sum())
 
 
@@ -450,7 +604,9 @@ class FactorizationResult:
     dag:
         The task DAG (replayable against other schedulers/GPUs).
     stats:
-        Exact per-task work recorded during numeric execution.
+        Exact per-task work recorded during numeric execution — a plain
+        dict, or the engine's :class:`LazyKernelStats`, which builds its
+        per-task objects on first read.
     fill_nnz:
         Predicted nnz(L+U) from the symbolic phase.
     phase_seconds:
@@ -466,7 +622,7 @@ class FactorizationResult:
     perm: np.ndarray
     schedule: ScheduleResult
     dag: TaskDAG
-    stats: dict[int, KernelStats]
+    stats: Mapping[int, KernelStats]
     fill_nnz: int
     phase_seconds: dict[str, float]
     #: cached (L, U) SpTRSV contexts for the batched solve path

@@ -13,7 +13,7 @@ ablation benches.
 
 from __future__ import annotations
 
-from repro.core.fusion import FusedBackend, merge_schur_tasks
+from repro.core.fusion import FusedBackend, merge_schur_tasks, schur_groups
 from repro.solvers.base import BlockSolverBase
 from repro.sparse import CSRMatrix
 from repro.symbolic import find_supernodes
@@ -36,9 +36,13 @@ class SuperLUSolver(BlockSolverBase):
         Apply the §3.5.1 integration when scheduling with the Trojan
         Horse: all Schur updates of one supernode row fuse into a single
         larger GEMM task, taming the CPU-side aggregation bottleneck.
-        Fused tasks run through the per-task backend; pass
-        ``merge_schur=False`` (or a non-trojan scheduler) to execute
-        launches as batched kernel groups instead (``batch_kernels`` /
+        ``factorize()`` runs a fused task's members one by one
+        (:class:`~repro.core.fusion.FusedBackend`); every same-pattern
+        ``refactorize()`` replays the recorded launches with the members
+        expanded and pre-grouped into stacked kernels
+        (:class:`~repro.solvers.base.WarmPlan`), bit-identically.  With
+        ``merge_schur=False`` (or a non-trojan scheduler) both calls
+        execute launches as batched kernel groups (``batch_kernels`` /
         ``REPRO_BATCH_KERNELS``, see :class:`BlockSolverBase`).
     """
 
@@ -59,8 +63,19 @@ class SuperLUSolver(BlockSolverBase):
                                relax=self.relax)
         return part, fill
 
+    def _fuses(self) -> bool:
+        return self.scheduler == "trojan" and self.merge_schur
+
     def _prepare_schedule(self, engine, backend):
-        if self.scheduler == "trojan" and self.merge_schur:
+        if self._fuses():
             fusion = merge_schur_tasks(engine.dag)
             return fusion.dag, FusedBackend(backend, fusion, engine.dag)
         return engine.dag, backend
+
+    def _schedule_members(self, engine):
+        if self._fuses():
+            return schur_groups(engine.dag)[1:]
+        return None
+
+    def _schedule_config(self, engine) -> tuple:
+        return super()._schedule_config(engine) + (self.merge_schur,)

@@ -302,3 +302,60 @@ class TestNoProgressTimeout:
             assert exc_info.value.batch == 7
         finally:
             ex.close()
+
+
+class TestReleaseCost:
+    """Closing a pool must not cost a heap-wide collection: every pool
+    solve closes two RHS pools on each side, and a full ``gc.collect``
+    takes time proportional to everything alive in the process."""
+
+    def test_close_collects_only_when_a_cycle_pins_the_segment(
+            self, monkeypatch):
+        import gc
+
+        import repro.parallel.shmem as shmem
+        from repro.sparse.blocking import uniform_partition
+
+        calls = []
+
+        class CountingGC:
+            @staticmethod
+            def collect(*args):
+                calls.append(args)
+                return gc.collect(*args)
+
+        monkeypatch.setattr(shmem, "gc", CountingGC)
+        part = uniform_partition(48, 16)
+        baseline = shm_segments()
+
+        pool = shmem.SharedRhsPool(part, np.ones((48, 2)))
+        pool.close()
+        pool.unlink()
+        assert calls == []
+        assert shm_segments() == baseline
+
+        # an exported buffer caught in a reference cycle outlives
+        # ``pools = []``: that is the one case the collection is for
+        pool = shmem.SharedRhsPool(part, np.ones((48, 2)))
+        cycle = [pool._segments[0].buf[:8]]
+        cycle.append(cycle)
+        del cycle
+        pool.close()
+        pool.unlink()
+        assert len(calls) == 1
+        assert all(shm._mmap is None for shm in pool._segments)
+        assert shm_segments() == baseline
+
+    def test_graceful_close_joins_the_queue_feeders(self, problem):
+        # no ``settled()`` patience here: after a drained shutdown the
+        # queues' semaphores are gone when ``close()`` returns
+        a, b = problem
+        baseline = shm_segments()
+        for _ in range(3):
+            ex = ParallelExecutor(a, workers=2, block_size=24)
+            ex.factorize()
+            ex.solve(b)
+            ex.close()
+            assert shm_segments() == baseline
+            assert [t.name for t in threading.enumerate()
+                    if t.name == "QueueFeederThread"] == []
