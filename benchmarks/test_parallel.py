@@ -21,7 +21,7 @@ call (no pool, no queue, no barrier).  1-worker numeric minus that
 replay is pure coordination overhead.  The table also carries the
 lifecycle columns a sub-1x result has to be read against —
 ``boot_wait`` (first phase blocked on workers still importing),
-``plan`` (record + conflict scan + certify), and the barrier count
+``plan`` (record + certify), and the barrier count
 with how many of them no cross-owner edge needs.
 
 Writes ``benchmarks/results/BENCH_parallel.json``.  The gate asserts

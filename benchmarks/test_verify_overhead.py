@@ -2,7 +2,7 @@
 
 The ``repro verify`` gate is only viable if proving a schedule safe is
 much cheaper than producing it — the acceptance bar is that the full
-:class:`~repro.verify.schedule.ScheduleVerifier` battery (cycles,
+:func:`~repro.verify.schedule.verify_schedule` battery (cycles,
 completeness, dependencies, hazards, capacity) over the trojan schedule
 of a poisson2d(24) block-8 DAG adds less than 10% on top of the
 scheduling time itself.  The whole-plan certifier
@@ -30,7 +30,7 @@ from repro.sparse import uniform_partition
 from repro.symbolic import block_fill
 from repro.cluster import ProcessGrid
 from repro.verify.plan import PlanSpec, verify_plan
-from repro.verify.schedule import ScheduleVerifier
+from repro.verify.schedule import verify_schedule
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -59,8 +59,7 @@ def test_verify_overhead(emit, benchmark):
                                model).run())
 
     def run_verify():
-        report = ScheduleVerifier(dag, gpu=gpu).verify_batches(
-            result.batches)
+        report = verify_schedule(dag, result.batches, gpu=gpu)
         assert report.ok, report.describe()
         return report
 

@@ -176,7 +176,6 @@ def cmd_parallel(args) -> int:
     with ParallelExecutor(a, solver=args.solver, workers=args.workers,
                           scheduler=args.scheduler,
                           solve_scheduler=args.solve_scheduler,
-                          certify=not args.no_certify,
                           log_dir=args.log_dir, pin_blas=args.pin_blas,
                           **kwargs) as ex:
         res = ex.factorize()
@@ -203,7 +202,7 @@ def cmd_parallel(args) -> int:
           "yes" if x_ok else "NO",
           round(wall, 3)]],
         title=f"{args.solver} / {args.scheduler} multiprocess vs "
-              f"in-process (certify={'off' if args.no_certify else 'on'})"))
+              "in-process"))
     phases = res.phase_seconds
     print("phases: " + "  ".join(f"{k}={v * 1e3:.1f}ms"
                                  for k, v in sorted(phases.items())))
@@ -353,7 +352,8 @@ def cmd_verify(args) -> int:
 
     Exit status: 0 when everything verifies clean, 1 when violations are
     found, 2 when an adversarial case misses one of its declared
-    ``expect`` codes (a silently weakened analyzer).
+    ``expect`` codes (a silently weakened analyzer) or cannot be read
+    (one line on stderr naming the malformed field, no traceback).
     """
     import pathlib
 
@@ -384,7 +384,13 @@ def cmd_verify(args) -> int:
         from repro.verify.cases import run_case_file
         exit_code = 0
         for path in args.case:
-            report, expected, missed = run_case_file(path)
+            try:
+                report, expected, missed = run_case_file(path)
+            except (OSError, KeyError, ValueError) as exc:
+                # a case that cannot be read catches nothing it declares
+                print(f"{path}: unusable case: {exc}", file=sys.stderr)
+                exit_code = 2
+                continue
             print(report.describe())
             if report.violations:
                 tally = report.counts_by_code()
@@ -591,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=SOLVE_SCHEDULER_NAMES)
     pl.add_argument("--nrhs", type=int, default=1,
                     help="right-hand-side columns for the solve check")
-    pl.add_argument("--no-certify", action="store_true",
-                    help="skip the PlanVerifier certification gate")
     pl.add_argument("--log-dir", default=None,
                     help="directory for per-worker log files")
     pl.add_argument("--pin-blas", type=int, default=None, metavar="T",

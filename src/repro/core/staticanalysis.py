@@ -7,9 +7,9 @@ that peel; :func:`dag_statistics` condenses it into the summary values a
 violin plot encodes (max width, mean width, distribution quantiles).
 
 Schedule validation (:func:`validate_schedule`) is a thin wrapper over
-the shared static verifier in :mod:`repro.verify.schedule` — one
-implementation serves the test suites, the Executor's hazard scan and
-the ``python -m repro verify`` CLI.
+:func:`repro.verify.schedule.verify_schedule` — the one-rank case of the
+plan certifier that also serves the worker pool and the
+``python -m repro verify`` CLI.
 """
 
 from __future__ import annotations
@@ -23,43 +23,22 @@ def validate_schedule(dag: TaskDAG, batches, strict: bool = True,
                       gpu=None, hazards: bool = True):
     """Statically verify a schedule is a correct execution of the DAG.
 
-    Runs the full :class:`~repro.verify.schedule.ScheduleVerifier`
-    battery — completeness (every task exactly once), dependency order,
-    intra-batch tile hazards, DAG acyclicity, and (when ``gpu`` is
-    given) Collector capacity budgets — and reports **every** violation,
-    not just the first.
-
-    Parameters
-    ----------
-    dag:
-        The task DAG.
-    batches:
-        Iterable of :class:`~repro.core.executor.BatchRecord`, or plain
-        task-id sequences (taken to execute in list order).
-    strict:
-        When ``True`` (the default, matching the historical behaviour),
-        raise ``AssertionError`` describing all violations; when
-        ``False``, return the report for the caller to inspect.
-    gpu:
-        Optional GPU spec enabling the capacity-budget check.
-    hazards:
-        Set ``False`` for DAGs whose tile coordinates are synthetic
-        metadata (random property-test DAGs) rather than real access
-        sets — the dependency edges alone then define correctness.
-
-    Returns
-    -------
-    VerificationReport
-        The structured violation report (empty when the schedule is
-        valid).
+    Runs :func:`~repro.verify.schedule.verify_schedule` — completeness,
+    dependency order, intra-batch tile hazards, DAG acyclicity and (with
+    ``gpu``) Collector capacity budgets — over ``batches``
+    (:class:`~repro.core.executor.BatchRecord` launches or task-id
+    sequences) and returns the report of **every** violation.  With
+    ``strict`` (the default) any violation raises ``AssertionError``
+    listing them all.  ``hazards=False`` skips the footprint passes, for
+    DAGs whose tile coordinates are synthetic metadata (random
+    property-test DAGs) rather than real access sets.
     """
-    # imported here, not at module level: repro.verify.schedule itself
-    # imports repro.core.dag, so a top-level import would be circular
-    # whichever package loads first
-    from repro.verify.schedule import ScheduleVerifier
+    # imported here, not at module level: repro.verify imports
+    # repro.core, so a top-level import would be circular whichever
+    # package loads first
+    from repro.verify.schedule import verify_schedule
 
-    report = ScheduleVerifier(dag, gpu=gpu).verify_batches(
-        batches, hazards=hazards)
+    report = verify_schedule(dag, batches, gpu=gpu, hazards=hazards)
     if strict:
         report.raise_if_violations()
     return report

@@ -8,10 +8,10 @@ storage re-homed onto ``multiprocessing.shared_memory`` segments — with
 a coordinator (:class:`~repro.parallel.executor.ParallelExecutor`)
 slicing each batch by owner-compute rank into one program per worker,
 and the workers stepping through the batches in lockstep on a shared
-barrier.  Every dispatched plan is
-conflict-scanned (``verify.effects``) and, by default, certified by
-``PlanVerifier`` first; results are bit-identical to the single-process
-engine for any worker count.
+barrier.  Every dispatched plan is certified once by ``PlanVerifier``
+first (batches as concurrent groups: dependency order, same-batch
+conflicts, budgets, cross-rank races); results are bit-identical to the
+single-process engine for any worker count.
 """
 
 from repro.parallel.executor import (

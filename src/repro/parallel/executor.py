@@ -19,16 +19,13 @@ tile) — the same assignment ``DistributedSimulator`` and
 one worker and stay in batch order, and the static message accounting
 of the simulator transfers verbatim to the real run.
 
-Safety is proved, not assumed, before anything is dispatched:
-
-* every plan passes the ``verify.effects`` conflict scan
-  (:func:`repro.verify.schedule.verify_schedule`: dependency order,
-  intra-batch write/read tile hazards, completeness, cycles);
-* with ``certify=True`` (default) the whole plan — DAG, owner ranks and
-  the per-rank program orders the workers will actually execute — is
-  certified race-free and live by
-  :class:`~repro.verify.plan.PlanVerifier` first
-  (:meth:`~repro.verify.plan.PlanSpec.from_execution`).
+Safety is proved, not assumed, before anything is dispatched: every
+phase plan — DAG, owner ranks, and the per-rank sequences of concurrent
+batch slices the workers will actually execute
+(:meth:`~repro.verify.plan.PlanSpec.from_batches`) — is certified once
+by :class:`~repro.verify.plan.PlanVerifier`: completeness, dependency
+order across batches, same-batch tile hazards, Collector budgets,
+cross-rank races and liveness.  A plan with any finding is refused.
 
 Differential contract (pinned by ``tests/test_parallel.py``): L/U and
 solve vectors are bit-identical to the single-process engine for any
@@ -63,7 +60,6 @@ from repro.solvers.sptrsv import SpTRSVContext
 from repro.sparse import CSRMatrix
 from repro.verify.hazards import batch_atomic_flags
 from repro.verify.plan import PlanSpec, verify_plan
-from repro.verify.schedule import verify_schedule
 
 
 #: Seconds between liveness/progress polls while awaiting workers.
@@ -169,13 +165,13 @@ def elidable_barriers(dag: TaskDAG, owner: np.ndarray, batches: list) -> int:
 
 @dataclass
 class _PhasePlan:
-    """One recorded, conflict-scanned and (optionally) certified plan,
-    sliced into per-worker programs — dispatchable any number of times."""
+    """One recorded and certified plan, sliced into per-worker programs
+    — dispatchable any number of times."""
 
     dag: TaskDAG
     batch_plan: BatchPlan
     owner: np.ndarray
-    spec: "PlanSpec | None"
+    spec: PlanSpec
     programs: list[WorkerProgram]
     messages: int
     comm_bytes: int
@@ -186,9 +182,9 @@ class ParallelFactorization:
     """Everything a multiprocess factorisation produces.
 
     ``L``/``U``/``stats`` carry the bit-identity contract against the
-    single-process engine; ``batch_plan`` and ``plan`` are the dispatch
-    artifacts (the certified :class:`~repro.verify.plan.PlanSpec` is
-    ``None`` when ``certify=False``); ``messages``/``comm_bytes`` are
+    single-process engine; ``batch_plan`` and ``plan`` (the certified
+    :class:`~repro.verify.plan.PlanSpec`) are the dispatch artifacts;
+    ``messages``/``comm_bytes`` are
     the owner-compute traffic the plan implies.  ``barriers`` is the
     number of lockstep barriers each worker passed (one between each
     pair of consecutive batches) and ``elidable_barriers`` how many of
@@ -208,7 +204,7 @@ class ParallelFactorization:
     stats: dict[int, KernelStats]
     dag: TaskDAG
     batch_plan: BatchPlan
-    plan: "PlanSpec | None"
+    plan: PlanSpec
     messages: int
     comm_bytes: int
     fill_nnz: int
@@ -241,9 +237,6 @@ class ParallelExecutor:
         :class:`~repro.cluster.grid.ProcessGrid`.
     scheduler, solve_scheduler:
         Batch-composition policies for the factor and solve phases.
-    certify:
-        Certify every dispatched plan with
-        :class:`~repro.verify.plan.PlanVerifier` before execution.
     msg_scale:
         Message-size multiplier for the traffic accounting (matching
         ``DistributedSimulator``).
@@ -266,7 +259,7 @@ class ParallelExecutor:
                  workers: int = 2, *, ordering: str = "mindeg",
                  gpu: GPUSpec = RTX5090, scheduler: str = "trojan",
                  solve_scheduler: str = "trojan",
-                 batch_kernels: bool | None = None, certify: bool = True,
+                 batch_kernels: bool | None = None,
                  msg_scale: float = 1.0, log_dir=None,
                  worker_timeout: float = 300.0, pin_blas: int | None = None,
                  **solver_kwargs):
@@ -282,7 +275,6 @@ class ParallelExecutor:
         self.scheduler = scheduler
         self.solve_scheduler = solve_scheduler
         self.batch_kernels = batch_kernels
-        self.certify = certify
         self.msg_scale = float(msg_scale)
         self.log_dir = log_dir
         self.worker_timeout = float(worker_timeout)
@@ -525,7 +517,8 @@ class ParallelExecutor:
 
     def _checked_plan(self, dag: TaskDAG, subject: str,
                       solve: bool) -> _PhasePlan:
-        """Record, conflict-scan, and (optionally) certify one plan."""
+        """Record one plan and certify it once; refuse to dispatch a plan
+        with any finding."""
         model = GPUCostModel(self.gpu)
         if solve:
             plan = record_batch_plan(dag, model,
@@ -535,23 +528,14 @@ class ParallelExecutor:
             plan = record_batch_plan(dag, model,
                                      scheduler=self._solver.scheduler,
                                      **self._solver.sched_kwargs)
-        report = verify_schedule(dag, plan.batches, gpu=self.gpu,
-                                 subject=subject)
-        if not report.ok:
+        spec = PlanSpec.from_batches(dag, self.grid, plan.batches,
+                                     gpu=self.gpu, msg_scale=self.msg_scale)
+        cert = verify_plan(spec, subject=subject)
+        if not cert.ok:
             raise RuntimeError(
                 f"refusing to dispatch {subject}: "
-                + "; ".join(str(v) for v in report.violations))
-        arrays = dag.task_arrays()
-        owner = self.grid.owner_array(arrays.i, arrays.j)
-        spec = None
-        if self.certify:
-            spec = PlanSpec.from_execution(dag, self.grid, plan.batches,
-                                           msg_scale=self.msg_scale)
-            cert = verify_plan(spec, subject=subject)
-            if not cert.ok:
-                raise RuntimeError(
-                    f"plan certification failed for {subject}: "
-                    + "; ".join(str(v) for v in cert.violations))
+                + "; ".join(str(v) for v in cert.violations))
+        owner = spec.rank
         messages, comm_bytes = message_accounting(dag, owner, self.msg_scale)
         return _PhasePlan(
             dag=dag, batch_plan=plan, owner=owner, spec=spec,

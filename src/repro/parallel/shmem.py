@@ -15,12 +15,18 @@ never crosses a queue: only task-id slices do.
 Lifecycle: the creating (coordinator) side owns the segments and must
 ``unlink()`` them; attaching (worker) sides only ``close()``.  Attachers
 opt out of the ``resource_tracker`` so a worker exiting does not unlink
-segments the coordinator still serves to its siblings.
+segments the coordinator still serves to its siblings.  Segments are
+named ``repro_<creator pid>_<n>`` (still registered with the creator's
+``resource_tracker``), so any name in ``/dev/shm`` traces back to the
+process that made it, and each pool exposes the names it owns
+(:attr:`SharedTileArena.names`).
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
+import os
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
@@ -55,14 +61,28 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = real_register
 
 
+#: Per-process sequence behind the ``repro_<pid>_<n>`` segment names.
+_SEGMENT_IDS = itertools.count()
+
+
+def _create_segment(size: int) -> shared_memory.SharedMemory:
+    """A new segment named ``repro_<pid>_<n>``."""
+    while True:
+        name = f"repro_{os.getpid()}_{next(_SEGMENT_IDS)}"
+        try:
+            return shared_memory.SharedMemory(name=name, create=True,
+                                              size=size)
+        except FileExistsError:
+            continue  # left by an earlier process that had this pid
+
+
 def _rehome(pools: list[np.ndarray]
             ) -> tuple[list[shared_memory.SharedMemory], list[np.ndarray]]:
     """Copy each pool into a fresh shared segment; return both lists."""
     segments = []
     shared = []
     for pool in pools:
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=max(1, pool.nbytes))
+        shm = _create_segment(max(1, pool.nbytes))
         arr = np.ndarray(pool.shape, dtype=pool.dtype, buffer=shm.buf)
         arr[...] = pool
         segments.append(shm)
@@ -116,6 +136,32 @@ def _close_segments(segments) -> bool:
     return done
 
 
+class _SharedSegments:
+    """Segment ownership shared by the two shared-memory pools."""
+
+    _segments: list
+    _owner: bool
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The ``/dev/shm`` names of this pool's segments."""
+        return tuple(s.name for s in self._segments)
+
+    def close(self) -> None:
+        """Detach from the segments (both sides)."""
+        _release(self)
+
+    def unlink(self) -> None:
+        """Remove the segment names from the system (creator only)."""
+        if not self._owner:
+            raise RuntimeError("only the creating side may unlink")
+        for shm in self._segments:
+            try:
+                shm.unlink()
+            except FileNotFoundError:
+                pass
+
+
 @dataclass(frozen=True)
 class SharedArenaSpec:
     """Picklable recipe for attaching one :class:`SharedTileArena`."""
@@ -135,7 +181,7 @@ class SharedRhsSpec:
     names: tuple[str, ...]
 
 
-class SharedTileArena(TileArena):
+class SharedTileArena(_SharedSegments, TileArena):
     """A :class:`TileArena` whose pools live in shared-memory segments.
 
     Drop-in for the engine (same ``view``/``locate``/``stamp``/pool
@@ -154,7 +200,7 @@ class SharedTileArena(TileArena):
         """The attachment recipe (partition, tile coords, segment names)."""
         return SharedArenaSpec(part=self.part, tile_bi=self.tile_bi,
                                tile_bj=self.tile_bj,
-                               names=tuple(s.name for s in self._segments))
+                               names=self.names)
 
     @classmethod
     def attach(cls, spec: SharedArenaSpec) -> "SharedTileArena":
@@ -170,22 +216,8 @@ class SharedTileArena(TileArena):
         self._owner = False
         return self
 
-    def close(self) -> None:
-        """Detach from the segments (both sides)."""
-        _release(self)
 
-    def unlink(self) -> None:
-        """Remove the segment names from the system (creator only)."""
-        if not self._owner:
-            raise RuntimeError("only the creating side may unlink")
-        for shm in self._segments:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-
-
-class SharedRhsPool(RhsPool):
+class SharedRhsPool(_SharedSegments, RhsPool):
     """An :class:`RhsPool` whose pools live in shared-memory segments.
 
     The solve phase's cross-owner x-block deliveries happen through
@@ -202,7 +234,7 @@ class SharedRhsPool(RhsPool):
     def spec(self) -> SharedRhsSpec:
         """The attachment recipe (partition, RHS width, segment names)."""
         return SharedRhsSpec(part=self.part, nrhs=self.nrhs,
-                             names=tuple(s.name for s in self._segments))
+                             names=self.names)
 
     @classmethod
     def attach(cls, spec: SharedRhsSpec) -> "SharedRhsPool":
@@ -212,17 +244,3 @@ class SharedRhsPool(RhsPool):
         self._segments, self.pools = _map_onto(self.pools, spec.names)
         self._owner = False
         return self
-
-    def close(self) -> None:
-        """Detach from the segments (both sides)."""
-        _release(self)
-
-    def unlink(self) -> None:
-        """Remove the segment names from the system (creator only)."""
-        if not self._owner:
-            raise RuntimeError("only the creating side may unlink")
-        for shm in self._segments:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass

@@ -49,6 +49,7 @@ from repro.serve.protocol import (
     read_message,
 )
 from repro.solvers import SOLVER_REGISTRY
+from repro.solvers.base import require_finite
 from repro.solvers.engine import NumericEngine
 from repro.solvers.sptrsv import fold_rhs, unfold_rhs
 from repro.sparse import CSRMatrix, permute_symmetric
@@ -449,8 +450,18 @@ class SolverServer:
         except ProtocolError as exc:
             raise ServeError("BAD_REQUEST", str(exc)) from exc
 
+    @staticmethod
+    def _finite(a: CSRMatrix) -> CSRMatrix:
+        """A matrix the solvers accept: NaN/Inf values are the client's
+        error, refused before any session state is touched."""
+        try:
+            require_finite(a)
+        except ValueError as exc:
+            raise ServeError("BAD_REQUEST", str(exc)) from exc
+        return a
+
     async def _op_factorize(self, header, arrays, t0):
-        a = self._matrix_of(header, arrays)
+        a = self._finite(self._matrix_of(header, arrays))
         solver_name, opts = _solver_options(header)
         key = _session_key(a, solver_name, opts)
         allow_fast = bool(header.get("fast_path", True))
@@ -493,6 +504,7 @@ class SolverServer:
         else:
             raise ServeError("BAD_REQUEST",
                              "refactorize needs a matrix or a data array")
+        self._finite(a)
         return await self._refactorize_into(session, a, header, t0,
                                             op="refactorize",
                                             fast_path=True)

@@ -47,7 +47,7 @@ import pathlib
 from repro.core.task import TaskType
 from repro.verify.golden import schedule_for_config, solve_schedule_for_config
 from repro.verify.report import VerificationReport
-from repro.verify.schedule import ScheduleVerifier
+from repro.verify.schedule import verify_schedule
 from repro.verify.trace import DistTrace, TraceVerifier
 
 
@@ -93,6 +93,12 @@ def _mutate_merge_all(batches, dag):
     return [[tid for b in batches for tid in b]]
 
 
+def _mutate_merge_first(batches, dag):
+    """Fuse the first two batches into one launch — producers and their
+    consumers side by side, the superstep rule broken once."""
+    return [list(batches[0]) + list(batches[1])] + list(batches[2:])
+
+
 def _mutate_update_before_diag(batches, dag):
     """Hoist the first RHS accumulate to the schedule front.
 
@@ -132,6 +138,7 @@ MUTATIONS = {
     "drop_last_batch": _mutate_drop_last,
     "co_schedule_write_conflict": _mutate_write_conflict,
     "merge_all_batches": _mutate_merge_all,
+    "merge_first_batches": _mutate_merge_first,
     "update_before_diag_solve": _mutate_update_before_diag,
     "co_schedule_rhs_updates": _mutate_co_schedule_rhs_updates,
 }
@@ -145,22 +152,15 @@ def load_case(path) -> dict:
 def run_case(case: dict, subject: str = "case") -> VerificationReport:
     """Execute one case through the matching verifier."""
     kind = case.get("kind")
-    if kind == "schedule":
-        dag, gpu, records = schedule_for_config(case["golden_config"])
+    if kind in ("schedule", "solve_schedule"):
+        dag, gpu, records = (
+            schedule_for_config(case["golden_config"]) if kind == "schedule"
+            else solve_schedule_for_config(case["solve_config"]))
         batches = [sorted(int(t) for t in b.task_ids) for b in records]
         mutation = case.get("mutation")
         if mutation is not None:
             batches = MUTATIONS[mutation](batches, dag)
-        return ScheduleVerifier(dag, gpu=gpu).verify_batches(
-            batches, subject=subject)
-    if kind == "solve_schedule":
-        dag, gpu, records = solve_schedule_for_config(case["solve_config"])
-        batches = [sorted(int(t) for t in b.task_ids) for b in records]
-        mutation = case.get("mutation")
-        if mutation is not None:
-            batches = MUTATIONS[mutation](batches, dag)
-        return ScheduleVerifier(dag, gpu=gpu).verify_batches(
-            batches, subject=subject)
+        return verify_schedule(dag, batches, gpu=gpu, subject=subject)
     if kind == "trace":
         trace = DistTrace.from_dict(case["trace"])
         return TraceVerifier(trace).verify(subject=subject)

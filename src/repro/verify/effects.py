@@ -1,9 +1,9 @@
 """Shared per-task effect footprints (``repro.verify.effects``).
 
-Every analyzer that reasons about data access — the Executor's in-batch
-atomic scan, :class:`~repro.verify.schedule.ScheduleVerifier`'s hazard
-pass, and :class:`~repro.verify.plan.PlanVerifier`'s happens-before race
-detection — must agree on *what each task reads and writes*.  This leaf
+Everything that reasons about data access — the Executor's in-batch
+atomic scan and :class:`~repro.verify.plan.PlanVerifier`'s same-batch
+hazard and happens-before race passes — must agree on *what each task
+reads and writes*.  This leaf
 module is the single definition of those footprints, derived from the
 task coordinate columns alone, so the analyzers can never drift apart:
 
@@ -27,8 +27,7 @@ escape at all: their destination accumulates are ordered by the solve
 DAG's canonical chains.
 
 Import-order note: this module may import only :mod:`numpy` and
-:mod:`repro.core.task` — it is pulled in by ``repro.verify.__init__``
-before :mod:`repro.verify.schedule` and lazily by
+:mod:`repro.core.task` — it is pulled in by ``repro.verify.__init__`` and lazily by
 :meth:`repro.core.dag.TaskDAG.task_arrays`, both of which run while
 ``repro.core`` may still be mid-import.
 """

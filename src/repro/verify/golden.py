@@ -28,7 +28,7 @@ from repro.ordering import compute_ordering
 from repro.sparse import permute_symmetric, uniform_partition
 from repro.symbolic import block_fill
 from repro.verify.report import VerificationReport
-from repro.verify.schedule import ScheduleVerifier
+from repro.verify.schedule import verify_schedule
 
 #: Default location of the checked-in golden batch sequences, relative
 #: to a repo-root working directory.
@@ -120,7 +120,7 @@ def verify_golden_file(path=DEFAULT_GOLDEN_PATH) -> VerificationReport:
     """Statically verify every checked-in golden batch sequence.
 
     Rebuilds each configuration's DAG, then runs the full
-    :class:`ScheduleVerifier` battery (with the config's GPU budgets)
+    :func:`verify_schedule` battery (with the config's GPU budgets)
     over the recorded batches.  Configs present in the file but unknown
     to :func:`golden_configs` are skipped — the golden *content* test
     lives in ``tests/test_golden_schedule.py``; this gate proves the
@@ -133,7 +133,7 @@ def verify_golden_file(path=DEFAULT_GOLDEN_PATH) -> VerificationReport:
         if name not in configs:
             continue
         dag, gpu = configs[name]
-        report = ScheduleVerifier(dag, gpu=gpu).verify_batches(
-            record["batches"], subject=f"golden:{name}")
+        report = verify_schedule(dag, record["batches"], gpu=gpu,
+                                 subject=f"golden:{name}")
         out.merge(report)
     return out

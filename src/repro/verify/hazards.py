@@ -1,10 +1,10 @@
 """Vectorized in-batch hazard kernels shared by Executor and verifier.
 
 The Executor must flag same-target Schur updates inside one batch as
-atomic (the paper's 9S0/9S1 accumulation case), and the static
-:class:`~repro.verify.schedule.ScheduleVerifier` must prove the *same*
-rule over whole schedules — so the duplicate-target scan lives here, as
-a leaf module (NumPy only) both sides import.
+atomic (the paper's 9S0/9S1 accumulation case) — the rule the static
+:class:`~repro.verify.plan.PlanVerifier` hazard pass proves over whole
+schedules.  The duplicate-target scan lives here, as a leaf module
+(NumPy only) the Executor and the worker pool import.
 """
 
 from __future__ import annotations

@@ -1,336 +1,38 @@
-"""Static schedule verification: prove a batch sequence safe, unrun.
+"""Single-GPU schedule verification: a batch sequence as a one-rank plan.
 
-The Trojan Horse layer's safety argument is entirely structural: a batch
-sequence is a correct execution of a :class:`~repro.core.dag.TaskDAG`
-iff every task runs exactly once, no task starts before its
-dependencies finish, no two batch-mates write one tile without the
-atomic-SSSSM escape hatch, and every batch respects the Collector's
-hardware budgets.  :class:`ScheduleVerifier` checks all of that with
-array passes over the whole schedule — no execution, no per-task Python
-loops — and reports *every* violation as a structured
-:class:`~repro.verify.report.VerificationReport` instead of dying on
-the first.
-
-Accepted schedule forms:
-
-* a list of :class:`~repro.core.executor.BatchRecord` (timed — the
-  dependency check uses simulated start/end times, matching the old
-  ``validate_schedule`` semantics), or
-* a list of plain task-id sequences (untimed — batches are taken to
-  execute strictly in list order, the form the checked-in golden
-  schedules use).
-
-The intra-batch hazard rule mirrors the batched numeric kernels of PR 3
-exactly: several SSSSM updates may share a target tile inside one batch
-because the Executor flags them atomic and applies their stacked
-products serially in batch order; any *other* same-tile write pair, and
-any read of a tile a batch-mate writes, is a race.
-
-Solve-phase (SpTRSV) schedules verify through the identical machinery:
-both solve task types write their RHS block (encoded as tile ``(i, i)``),
-and SPTRSV_UPDATE additionally reads its *source* RHS block ``(k, k)`` —
-so an update co-batched with its source's diagonal solve is a
-read-write hazard, and two writers of one RHS block in a batch are a
-write-write hazard (solve tasks have no atomic escape hatch: the solve
-DAG's canonical accumulation chains serialise same-destination updates
-by construction, which is the static analogue of the SSSSM
-serial-apply rule).  Factor tiles are read-only during a solve, so
-their reads need no registration — nothing can write them.
+A batch sequence is a correct execution of a
+:class:`~repro.core.dag.TaskDAG` iff every task runs exactly once, every
+dependency lands in a strictly later batch (or, for timed launches that
+overlap, starts after its producer ends), no two batch-mates write one
+tile without the atomic-SSSSM escape, no task reads a tile a batch-mate
+writes, and every batch respects the Collector's hardware budgets.  That
+is exactly what :class:`~repro.verify.plan.PlanVerifier` proves about a
+one-rank plan whose batches are concurrent groups, so there is no second
+verifier here — only the adapter from a schedule to that plan.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.dag import TaskDAG, _gather_csr
-from repro.verify import report as rep
-from repro.verify.effects import effect_footprints
-from repro.verify.report import VerificationReport, Violation
-
-#: Tolerance on simulated timestamps, matching the old validate_schedule.
-TIME_EPS = 1e-12
-
-#: Cap on per-code violation listings so a totally broken schedule still
-#: produces a readable (and cheap) report.
-MAX_PER_CODE = 100
+from repro.verify.report import VerificationReport
 
 
-def _normalize_batches(batches):
-    """Split a schedule into id arrays plus optional start/end times."""
-    ids, t_start, t_end = [], [], []
-    timed = True
-    for b in batches:
-        if hasattr(b, "task_ids"):
-            ids.append(np.asarray(b.task_ids, dtype=np.int64))
-            t_start.append(float(b.t_start))
-            t_end.append(float(b.t_end))
-        else:
-            ids.append(np.asarray(list(b), dtype=np.int64))
-            timed = False
-    if not timed:
-        t_start = t_end = None
-    return ids, t_start, t_end
+def verify_schedule(dag, batches, gpu=None, subject: str = "schedule",
+                    hazards: bool = True) -> VerificationReport:
+    """Certify one device's batch sequence; returns every violation.
 
-
-class ScheduleVerifier:
-    """Vectorized static checks over one DAG's schedules.
-
-    Parameters
-    ----------
-    dag:
-        The task DAG the schedules claim to execute.
-    gpu:
-        Optional GPU spec (anything exposing ``max_resident_blocks`` and
-        ``shared_mem_total_bytes``).  When given, every multi-task batch
-        is checked against the Collector budgets; a single oversized
-        task running alone is exempt, exactly like the Collector itself.
-
-    Construction precomputes the read/write tile sets of every task from
-    the DAG's column arrays, so verifying many schedules of one DAG
-    (e.g. a scheduler sweep) pays the setup once.
+    ``batches`` holds :class:`~repro.core.executor.BatchRecord` launches
+    (timed: dependency order is checked on their start/end times) or
+    plain task-id sequences (taken to run strictly in list order).
+    Missing, repeated and unknown ids are ``TASK_*`` findings.  ``gpu``
+    enables the Collector capacity check.  ``hazards=False`` skips the
+    footprint passes — for DAGs whose tile coordinates are synthetic
+    metadata rather than real access sets (random property-test DAGs),
+    where the dependency edges alone define correctness.
     """
+    # imported here: repro.verify.plan needs the fully built
+    # repro.cluster, which must not load during repro.verify.__init__
+    from repro.cluster.grid import ProcessGrid
+    from repro.verify.plan import PlanSpec, PlanVerifier
 
-    def __init__(self, dag: TaskDAG, gpu=None):
-        self._dag = dag
-        self._gpu = gpu
-        n = dag.n_tasks
-        if n:
-            arrays = dag.task_arrays()
-            # read/write tile sets come from the shared effect-footprint
-            # layer (repro.verify.effects) — the same derivation the
-            # Executor's atomic scan and the plan analyzer use, so the
-            # hazard semantics (including the atomic serial-apply rule
-            # and the solve phase's lack of one) can never disagree
-            fp = effect_footprints(dag)
-            self._ntiles = fp.ntiles
-            self._write_tile = fp.write_tile
-            self._is_atomic_type = fp.is_atomic
-            self._read_owner = fp.read_owner
-            self._read_tile = fp.read_tile
-            self._blocks = arrays.cuda_blocks
-            self._shmem = arrays.shared_mem
-
-    # ------------------------------------------------------------------
-    # individual checks
-    # ------------------------------------------------------------------
-    def _check_cycles(self, out: VerificationReport) -> None:
-        dag = self._dag
-        # a cached critical-path labeling is a proof the Kahn peel
-        # already covered every task — skip re-peeling (the peel is the
-        # single most expensive verifier pass on deep DAGs)
-        if dag.is_verified_acyclic():
-            return
-        indptr, indices = dag.successor_csr()
-        indeg = dag.pred_count.copy()
-        frontier = np.flatnonzero(indeg == 0)
-        peeled = np.zeros(dag.n_tasks, dtype=bool)
-        while frontier.size:
-            peeled[frontier] = True
-            succ, _ = _gather_csr(indptr, indices, frontier)
-            np.subtract.at(indeg, succ, 1)
-            frontier = np.unique(succ[indeg[succ] == 0])
-        stuck = np.flatnonzero(~peeled)
-        if stuck.size:
-            out.add(Violation(
-                code=rep.DAG_CYCLE,
-                message=f"{stuck.size} task(s) sit on a dependency cycle "
-                        "and can never become ready",
-                task_ids=tuple(int(t) for t in stuck[:MAX_PER_CODE]),
-            ))
-
-    def _check_completeness(self, out, flat, valid):
-        n = self._dag.n_tasks
-        unknown = np.unique(flat[~valid])
-        for t in unknown[:MAX_PER_CODE]:
-            out.add(Violation(
-                code=rep.TASK_UNKNOWN,
-                message=f"task id {int(t)} is outside the DAG "
-                        f"(0..{n - 1})",
-                task_ids=(int(t),),
-            ))
-        counts = np.bincount(flat[valid], minlength=n)
-        for t in np.flatnonzero(counts > 1)[:MAX_PER_CODE]:
-            out.add(Violation(
-                code=rep.TASK_DUPLICATE,
-                message=f"task {int(t)} executed twice "
-                        f"({int(counts[t])} occurrences)",
-                task_ids=(int(t),),
-            ))
-        missing = np.flatnonzero(counts == 0)
-        if missing.size:
-            out.add(Violation(
-                code=rep.TASK_MISSING,
-                message=f"{missing.size} tasks never executed",
-                task_ids=tuple(int(t) for t in missing[:MAX_PER_CODE]),
-            ))
-        return counts
-
-    def _check_dependencies(self, out, flat, valid, bidx, starts, ends,
-                            counts):
-        """Every DAG edge must resolve before its consumer starts."""
-        dag = self._dag
-        n = dag.n_tasks
-        start_of = np.full(n, np.inf)
-        end_of = np.full(n, -np.inf)
-        batch_of = np.full(n, -1, dtype=np.int64)
-        np.minimum.at(start_of, flat[valid], starts[valid])
-        np.maximum.at(end_of, flat[valid], ends[valid])
-        batch_of[flat[valid]] = bidx[valid]
-        indptr, indices = dag.successor_csr()
-        producer = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        consumer = indices
-        both = (counts[producer] > 0) & (counts[consumer] > 0)
-        bad = both & (start_of[consumer] < end_of[producer] - TIME_EPS)
-        for e in np.flatnonzero(bad)[:MAX_PER_CODE]:
-            p, c = int(producer[e]), int(consumer[e])
-            out.add(Violation(
-                code=rep.DEP_ORDER,
-                message=f"task {c} started before its dependency {p} "
-                        "finished",
-                task_ids=(c, p),
-                batch_ids=(int(batch_of[c]), int(batch_of[p])),
-            ))
-
-    def _check_hazards(self, out, flat, valid, bidx):
-        """Intra-batch write-write and read-write tile conflicts.
-
-        Same-target SSSSM groups are legal (the Executor flags them
-        atomic and applies the stacked products serially in batch
-        order); everything else sharing a written tile inside one batch
-        is a race, as is reading a tile a batch-mate writes.
-        """
-        ids = flat[valid]
-        bx = bidx[valid]
-        if not ids.size:
-            return
-        wt = self._write_tile[ids]
-        key = bx * self._ntiles + wt
-        order = np.argsort(key, kind="stable")
-        sk = key[order]
-        run_starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-        run_len = np.diff(np.r_[run_starts, sk.size])
-        atomic_sorted = self._is_atomic_type[ids[order]].astype(np.int64)
-        run_atomic = np.add.reduceat(atomic_sorted, run_starts)
-        ww = np.flatnonzero((run_len > 1) & (run_atomic < run_len))
-        for r in ww[:MAX_PER_CODE]:
-            members = ids[order[run_starts[r]:run_starts[r] + run_len[r]]]
-            tile = int(sk[run_starts[r]] % self._ntiles)
-            nb = self._dag.part.nblocks
-            out.add(Violation(
-                code=rep.HAZARD_WW,
-                message=f"non-atomic write-write conflict on tile "
-                        f"({tile // nb},{tile % nb}): tasks "
-                        f"{sorted(int(t) for t in members)} share one batch",
-                task_ids=tuple(sorted(int(t) for t in members)),
-                batch_ids=(int(sk[run_starts[r]] // self._ntiles),),
-            ))
-        # read-write: gather every scheduled read, look its (batch, tile)
-        # key up among the batch's writes
-        batch_of = np.full(self._dag.n_tasks, -1, dtype=np.int64)
-        batch_of[ids] = bx
-        r_owner = self._read_owner
-        sched = batch_of[r_owner] >= 0
-        r_owner = r_owner[sched]
-        r_tile = self._read_tile[sched]
-        rkey = batch_of[r_owner] * self._ntiles + r_tile
-        pos = np.searchsorted(sk, rkey, side="left")
-        hit = (pos < sk.size) & (sk[np.minimum(pos, sk.size - 1)] == rkey)
-        nb = self._dag.part.nblocks
-        for q in np.flatnonzero(hit)[:MAX_PER_CODE]:
-            writer = int(ids[order[pos[q]]])
-            reader = int(r_owner[q])
-            if writer == reader:  # pragma: no cover - defensive
-                continue
-            tile = int(r_tile[q])
-            out.add(Violation(
-                code=rep.HAZARD_RW,
-                message=f"task {reader} reads tile "
-                        f"({tile // nb},{tile % nb}) that task {writer} "
-                        "writes in the same batch",
-                task_ids=(reader, writer),
-                batch_ids=(int(batch_of[reader]),),
-            ))
-
-    def _check_capacity(self, out, flat, valid, bidx, n_batches, sizes):
-        gpu = self._gpu
-        max_blocks = gpu.max_resident_blocks
-        max_shmem = gpu.shared_mem_total_bytes
-        blocks = np.zeros(n_batches, dtype=np.int64)
-        shmem = np.zeros(n_batches, dtype=np.int64)
-        np.add.at(blocks, bidx[valid], self._blocks[flat[valid]])
-        np.add.at(shmem, bidx[valid], self._shmem[flat[valid]])
-        # a single oversized task may run alone (Collector rule)
-        multi = sizes > 1
-        for b in np.flatnonzero(multi & (blocks > max_blocks))[:MAX_PER_CODE]:
-            out.add(Violation(
-                code=rep.CAPACITY_BLOCKS,
-                message=f"batch {int(b)} needs {int(blocks[b])} CUDA "
-                        f"blocks, budget is {int(max_blocks)}",
-                batch_ids=(int(b),),
-            ))
-        for b in np.flatnonzero(multi & (shmem > max_shmem))[:MAX_PER_CODE]:
-            out.add(Violation(
-                code=rep.CAPACITY_SHMEM,
-                message=f"batch {int(b)} stages {int(shmem[b])} B of "
-                        f"shared memory, budget is {int(max_shmem)} B",
-                batch_ids=(int(b),),
-            ))
-
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
-    def verify_batches(self, batches, subject: str = "schedule",
-                       hazards: bool = True) -> VerificationReport:
-        """Run every applicable check; returns the full violation set.
-
-        ``hazards=False`` skips the intra-batch tile-conflict checks —
-        for DAGs whose tile coordinates are synthetic metadata rather
-        than real access sets (e.g. random property-test DAGs), the
-        dependency edges alone define correctness.
-        """
-        checks = ["cycles", "completeness", "dependencies"]
-        if hazards:
-            checks.append("hazards")
-        if self._gpu is not None:
-            checks.append("capacity")
-        out = VerificationReport(subject=subject, checks=tuple(checks))
-        dag = self._dag
-        if dag.n_tasks == 0:
-            if any(len(getattr(b, "task_ids", b)) for b in batches):
-                out.add(Violation(
-                    code=rep.TASK_UNKNOWN,
-                    message="schedule runs tasks but the DAG is empty",
-                ))
-            return out
-        self._check_cycles(out)
-        ids, t_start, t_end = _normalize_batches(batches)
-        sizes = np.fromiter((a.size for a in ids), dtype=np.int64,
-                            count=len(ids))
-        flat = (np.concatenate(ids) if ids
-                else np.empty(0, dtype=np.int64))
-        bidx = np.repeat(np.arange(len(ids), dtype=np.int64), sizes)
-        if t_start is not None:
-            starts = np.repeat(np.asarray(t_start), sizes)
-            ends = np.repeat(np.asarray(t_end), sizes)
-        else:
-            # untimed: batches execute strictly in list order — a batch
-            # "runs" over [index, index+1), so a dependency landing in
-            # the same or an earlier batch is a violation
-            starts = bidx.astype(np.float64)
-            ends = bidx.astype(np.float64) + 1.0
-        valid = (flat >= 0) & (flat < dag.n_tasks)
-        counts = self._check_completeness(out, flat, valid)
-        self._check_dependencies(out, flat, valid, bidx, starts, ends,
-                                 counts)
-        if hazards:
-            self._check_hazards(out, flat, valid, bidx)
-        if self._gpu is not None:
-            self._check_capacity(out, flat, valid, bidx, len(ids), sizes)
-        return out
-
-
-def verify_schedule(dag: TaskDAG, batches, gpu=None,
-                    subject: str = "schedule") -> VerificationReport:
-    """One-shot convenience wrapper around :class:`ScheduleVerifier`."""
-    return ScheduleVerifier(dag, gpu=gpu).verify_batches(batches,
-                                                         subject=subject)
+    plan = PlanSpec.from_batches(dag, ProcessGrid(1), batches, gpu=gpu)
+    return PlanVerifier(plan).verify(subject=subject, hazards=hazards)

@@ -166,10 +166,32 @@ class TestPlanCertification:
             for r, order in enumerate(res.plan.order):
                 assert np.array_equal(order, flat[owner[flat] == r])
 
+    def test_each_phase_is_certified_exactly_once(self, problem,
+                                                   monkeypatch):
+        # one certifier: a single PlanVerifier pass per phase plan, no
+        # second verifier beside it
+        from repro.verify.plan import PlanVerifier
+
+        a, b = problem
+        calls = []
+        real = PlanVerifier.verify
+
+        def counting(self, subject="plan", hazards=True):
+            calls.append(subject)
+            return real(self, subject=subject, hazards=hazards)
+
+        monkeypatch.setattr(PlanVerifier, "verify", counting)
+        with ParallelExecutor(a, workers=2, block_size=24) as ex:
+            ex.factorize()
+            ex.solve(b)
+        assert sorted(calls) == ["parallel/pangulu/factor",
+                                 "parallel/pangulu/solve-L",
+                                 "parallel/pangulu/solve-U"]
+
     def test_racy_batches_refused_before_dispatch(self, problem,
                                                   monkeypatch):
         # collapse the whole DAG into one "batch": dependent tasks
-        # side by side, which the conflict scan must refuse to dispatch
+        # side by side, which certification must refuse to dispatch
         import repro.parallel.executor as pex
 
         a, _ = problem
@@ -278,8 +300,8 @@ class TestCoordinator:
             x, ref.solve(b, batch_solve=True, solve_scheduler="trojan"))
 
     def test_solve_plans_checked_once_per_shape(self, problem, monkeypatch):
-        # record + conflict-scan + certify once per (triangle, RHS
-        # width); later solves of the same shape only dispatch
+        # record + certify once per (triangle, RHS width); later
+        # solves of the same shape only dispatch
         import repro.parallel.executor as pex
 
         a, b = problem

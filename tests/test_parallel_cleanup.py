@@ -1,13 +1,19 @@
 """Shared-memory hygiene of the multiprocess executor.
 
 The failure mode that matters: ``/dev/shm`` entries surviving a crashed
-run — tile segments (``psm_*``) and the named semaphores behind the
-pool's queues and lockstep barrier (``sem.mp-*``).  Names leak silently
-(the memory stays reserved until reboot), so CI runs a suite-level leak
-check *and* this file kills, stalls and breaks workers outright —
-between phases and in the middle of one, with a peer parked at the
-barrier — and asserts the coordinator reaps every process and entry
-while raising a structured, actionable error.
+run — tile segments and the named semaphores behind the pool's queues
+and lockstep barrier (``sem.mp-*``).  Names leak silently (the memory
+stays reserved until reboot), so CI runs a suite-level leak check *and*
+this file kills, stalls and breaks workers outright — between phases
+and in the middle of one, with a peer parked at the barrier — and
+asserts the coordinator reaps every process and entry while raising a
+structured, actionable error.
+
+Every check is by name, never by a census of ``/dev/shm``: other
+processes on the host create and remove entries there at any time.
+The pools name their segments ``repro_<creator pid>_<n>``, so no
+``repro_<this pid>_*`` may outlive a test, and the pool's own
+semaphores are named by the locks this process created.
 """
 
 import os
@@ -23,25 +29,49 @@ from repro.matrices.generators import poisson2d
 from repro.parallel import ParallelExecutor, WorkerCrashError
 
 SHM_DIR = Path("/dev/shm")
+#: every shared segment this process creates starts with this
+OWN_PREFIX = f"repro_{os.getpid()}_"
 
 
-def shm_segments() -> set:
-    """Names of the interpreter-created shared-memory segments and
-    named semaphores."""
+def present() -> set:
+    """Names currently in ``/dev/shm``."""
     if not SHM_DIR.exists():
         pytest.skip("no /dev/shm on this platform")
-    return {f.name for f in SHM_DIR.iterdir()
-            if f.name.startswith(("psm_", "sem.mp-"))}
+    return set(os.listdir(SHM_DIR))
 
 
-def settled(baseline: set, patience: float = 2.0) -> set:
-    """``shm_segments()`` once it equals ``baseline`` (or patience runs
-    out).  A closed queue's semaphores go when its feeder thread has
-    seen the close — promptly, but on another thread."""
+def own_segments() -> set:
+    """This process's shared-memory segments still in ``/dev/shm``."""
+    return {name for name in present() if name.startswith(OWN_PREFIX)}
+
+
+def pool_semaphores(ex) -> set:
+    """``/dev/shm`` names of the semaphores behind the pool's own task
+    and result queues and its lockstep barrier.  ``_semlock.name`` is a
+    CPython detail, which is why it is read here and nowhere in the
+    product."""
+    cond = ex._barrier._cond
+    locks = [cond._lock, cond._sleeping_count, cond._woken_count,
+             cond._wait_semaphore]
+    for q in [*ex._task_qs, ex._result_q]:
+        locks += [q._rlock, q._wlock, q._sem]
+    names = {"sem." + lock._semlock.name.lstrip("/")
+             for lock in locks if lock is not None}
+    assert names and names <= present()  # they really are named entries
+    return names
+
+
+def leaked(created: set, patience: float = 2.0) -> set:
+    """Whichever of ``created``, or of this process's segments, still
+    exists once they are all gone or ``patience`` runs out.  A closed
+    queue's semaphores go when its feeder thread has seen the close —
+    promptly, but on another thread."""
     deadline = time.monotonic() + patience
-    while shm_segments() != baseline and time.monotonic() < deadline:
+    while True:
+        left = (created & present()) | own_segments()
+        if not left or time.monotonic() >= deadline:
+            return left
         time.sleep(0.01)
-    return shm_segments()
 
 
 @pytest.fixture()
@@ -54,21 +84,21 @@ def problem():
 class TestCleanShutdown:
     def test_full_run_leaves_no_segments(self, problem):
         a, b = problem
-        baseline = shm_segments()
         with ParallelExecutor(a, workers=2, block_size=24) as ex:
             ex.factorize()
             ex.solve(b)
-            assert shm_segments() > baseline  # arenas really are in shm
-        assert settled(baseline) == baseline
+            sems = pool_semaphores(ex)
+            assert own_segments()  # arenas really are in shm
+        assert leaked(sems) == set()
 
     def test_close_is_idempotent(self, problem):
         a, _ = problem
-        baseline = shm_segments()
         ex = ParallelExecutor(a, workers=2, block_size=24)
         ex.factorize()
+        sems = pool_semaphores(ex)
         ex.close()
         ex.close()
-        assert settled(baseline) == baseline
+        assert leaked(sems) == set()
 
 
 class TestEarlyFailure:
@@ -89,21 +119,23 @@ class TestEarlyFailure:
                                  n_tasks=plan.n_tasks)
 
         monkeypatch.setattr(pex, "record_batch_plan", racy)
-        baseline = shm_segments()
         ex = ParallelExecutor(a, workers=2, block_size=24)
+        ex.start()
+        sems = pool_semaphores(ex)
         with pytest.raises(RuntimeError, match="refusing to dispatch"):
             ex.factorize()
         assert ex.worker_pids() == []
-        assert settled(baseline) == baseline
+        assert leaked(sems) == set()
 
 
 class TestWorkerKill:
     def test_sigkill_reaps_arena_and_raises_structured(self, problem):
         a, _ = problem
-        baseline = shm_segments()
         ex = ParallelExecutor(a, workers=2, block_size=24)
+        sems = set()
         try:
             ex.start()
+            sems = pool_semaphores(ex)
             victim = ex.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             with pytest.raises(WorkerCrashError) as exc_info:
@@ -113,18 +145,19 @@ class TestWorkerKill:
             assert err.worker == 0
             assert err.exitcode == -signal.SIGKILL
             # the reap already unlinked the factor arena
-            assert settled(baseline) == baseline
+            assert leaked(sems) == set()
             assert ex.worker_pids() == []
         finally:
             ex.close()
-        assert settled(baseline) == baseline
+        assert leaked(sems) == set()
 
     def test_sigkill_mid_solve_reaps_everything(self, problem):
         a, b = problem
-        baseline = shm_segments()
         ex = ParallelExecutor(a, workers=2, block_size=24)
+        sems = set()
         try:
             ex.factorize()
+            sems = pool_semaphores(ex)
             # factor arena + pool live; kill between phases so the solve
             # dispatch (phase message or batch await) hits the corpse
             os.kill(ex.worker_pids()[1], signal.SIGKILL)
@@ -132,10 +165,10 @@ class TestWorkerKill:
                 ex.solve(b)
             assert exc_info.value.kind == "died"
             assert exc_info.value.exitcode == -signal.SIGKILL
-            assert settled(baseline) == baseline
+            assert leaked(sems) == set()
         finally:
             ex.close()
-        assert settled(baseline) == baseline
+        assert leaked(sems) == set()
 
 
 def pool_gone(pids) -> bool:
@@ -155,11 +188,12 @@ class TestMidPhaseFailure:
 
     def test_sigkill_with_peer_parked_at_barrier(self, problem):
         a, b = problem
-        baseline = shm_segments()
         ex = ParallelExecutor(a, workers=2, block_size=24,
                               worker_timeout=120.0)
+        sems = set()
         try:
             ex.factorize()
+            sems = pool_semaphores(ex)
             pids = ex.worker_pids()
             # freeze the victim before the solve is dispatched: its peer
             # runs batch 0 and parks at the barrier, the phase cannot
@@ -192,10 +226,10 @@ class TestMidPhaseFailure:
             assert waited < 30.0
             assert ex.worker_pids() == []
             assert pool_gone(pids)
-            assert settled(baseline) == baseline
+            assert leaked(sems) == set()
         finally:
             ex.close()
-        assert settled(baseline) == baseline
+        assert leaked(sems) == set()
 
     def test_error_in_slice_reports_batch_while_peer_waits(self, problem,
                                                            monkeypatch):
@@ -223,11 +257,11 @@ class TestMidPhaseFailure:
 
         monkeypatch.setattr(pex.TaskColumns, "from_arrays",
                             staticmethod(corrupt))
-        baseline = shm_segments()
         ex = ParallelExecutor(a, workers=2, block_size=24)
         pids = []
         try:
             ex.start()
+            sems = pool_semaphores(ex)
             pids = ex.worker_pids()
             with pytest.raises(WorkerCrashError) as exc_info:
                 ex.factorize()
@@ -238,7 +272,7 @@ class TestMidPhaseFailure:
             assert "Traceback" in str(err)
             assert ex.worker_pids() == []
             assert pool_gone(pids)
-            assert settled(baseline) == baseline
+            assert leaked(sems) == set()
         finally:
             ex.close()
 
@@ -249,11 +283,12 @@ class TestNoProgressTimeout:
 
     def test_stalled_pool_times_out_naming_the_batch(self, problem):
         a, b = problem
-        baseline = shm_segments()
         ex = ParallelExecutor(a, workers=2, block_size=24,
                               worker_timeout=0.5)
+        sems = set()
         try:
             ex.factorize()
+            sems = pool_semaphores(ex)
             pids = ex.worker_pids()
             os.kill(pids[0], signal.SIGSTOP)  # alive, but going nowhere
             t0 = time.monotonic()
@@ -268,7 +303,7 @@ class TestNoProgressTimeout:
             # the reap reaches even a stopped process
             assert ex.worker_pids() == []
             assert pool_gone(pids)
-            assert settled(baseline) == baseline
+            assert leaked(sems) == set()
         finally:
             ex.close()
 
@@ -326,13 +361,13 @@ class TestReleaseCost:
 
         monkeypatch.setattr(shmem, "gc", CountingGC)
         part = uniform_partition(48, 16)
-        baseline = shm_segments()
 
         pool = shmem.SharedRhsPool(part, np.ones((48, 2)))
+        assert set(pool.names) <= own_segments()
         pool.close()
         pool.unlink()
         assert calls == []
-        assert shm_segments() == baseline
+        assert leaked(set(pool.names), patience=0) == set()
 
         # an exported buffer caught in a reference cycle outlives
         # ``pools = []``: that is the one case the collection is for
@@ -344,18 +379,18 @@ class TestReleaseCost:
         pool.unlink()
         assert len(calls) == 1
         assert all(shm._mmap is None for shm in pool._segments)
-        assert shm_segments() == baseline
+        assert leaked(set(pool.names), patience=0) == set()
 
     def test_graceful_close_joins_the_queue_feeders(self, problem):
-        # no ``settled()`` patience here: after a drained shutdown the
-        # queues' semaphores are gone when ``close()`` returns
+        # no patience here: after a drained shutdown the queues'
+        # semaphores are gone when ``close()`` returns
         a, b = problem
-        baseline = shm_segments()
         for _ in range(3):
             ex = ParallelExecutor(a, workers=2, block_size=24)
             ex.factorize()
             ex.solve(b)
+            sems = pool_semaphores(ex)
             ex.close()
-            assert shm_segments() == baseline
+            assert leaked(sems, patience=0) == set()
             assert [t.name for t in threading.enumerate()
                     if t.name == "QueueFeederThread"] == []

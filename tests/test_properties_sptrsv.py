@@ -24,7 +24,7 @@ from repro.core.task import TaskType
 from repro.gpusim import RTX5090
 from repro.solvers import sptrsv_solve
 from repro.sparse import CSRMatrix, uniform_partition
-from repro.verify.schedule import ScheduleVerifier
+from repro.verify.schedule import verify_schedule
 
 
 def random_triangular(n: int, density: float, seed: int,
@@ -56,8 +56,8 @@ def test_every_collector_batch_is_hazard_free(seed, lower, scheduler):
     # full coverage: each task launched exactly once
     flat = sorted(t for batch in batches for t in batch)
     assert flat == list(range(result.dag.n_tasks))
-    report = ScheduleVerifier(result.dag, gpu=RTX5090).verify_batches(
-        batches, subject=f"sptrsv-{scheduler}-{seed}")
+    report = verify_schedule(result.dag, batches, gpu=RTX5090,
+                             subject=f"sptrsv-{scheduler}-{seed}")
     assert not report.violations, report.describe()
     # and the schedule actually solved the system
     expect = np.linalg.solve(tri.to_dense(), b)

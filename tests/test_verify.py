@@ -1,4 +1,4 @@
-"""ScheduleVerifier: adversarial schedules caught with the right codes.
+"""verify_schedule: adversarial schedules caught with the right codes.
 
 A real block DAG (poisson 16², block 8) scheduled by the trojan policy
 is the clean baseline; every test then breaks it in one specific way and
@@ -25,7 +25,7 @@ from repro.sparse import uniform_partition
 from repro.symbolic import block_fill
 from repro.verify import report as rep
 from repro.verify.hazards import batch_atomic_flags
-from repro.verify.schedule import ScheduleVerifier, verify_schedule
+from repro.verify.schedule import verify_schedule
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +156,7 @@ class TestHazardMatrix:
         tasks = [_task(0, TaskType.GETRF, 2, 2, 2),
                  _task(1, TaskType.SSSSM, 0, 2, 2)]
         dag = _synthetic_dag(tasks)
-        report = ScheduleVerifier(dag).verify_batches([[0, 1]],
-                                                      hazards=False)
+        report = verify_schedule(dag, [[0, 1]], hazards=False)
         assert report.ok
         assert "hazards" not in report.checks
 

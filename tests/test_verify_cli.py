@@ -20,7 +20,8 @@ def test_adversarial_cases_exist():
                      "write_conflict.json", "over_budget.json",
                      "unmatched_send.json", "dead_rank_send.json",
                      "solve_update_before_diag.json",
-                     "solve_rhs_write_conflict.json"}
+                     "solve_rhs_write_conflict.json",
+                     "merged_batches.json"}
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda p: p.stem)

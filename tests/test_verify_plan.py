@@ -14,6 +14,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import FaultSpec, ProcessGrid
 from repro.core import build_block_dag
@@ -23,6 +24,7 @@ from repro.symbolic import block_fill
 from repro.verify import report as rep
 from repro.verify.cases import load_case, run_case_file
 from repro.verify.effects import atomic_write_targets, effect_footprints
+from repro.verify.report import VerificationReport
 from repro.verify.plan import (
     DYNAMIC_ONLY,
     STATIC_TWIN,
@@ -465,14 +467,36 @@ def _swap_dependent(dag, batches):
     return out
 
 
+#: (solver, kwargs) — the substrates the parallel engine dispatches
+SUBSTRATES = [("pangulu", {"block_size": 24}),
+              ("superlu", {"max_supernode": 16, "merge_schur": False})]
+
+
+@pytest.fixture(scope="module", params=SUBSTRATES,
+                ids=[s for s, _ in SUBSTRATES])
+def execution_dags(request):
+    """Factor, L-solve and U-solve DAGs of one substrate, each with the
+    batch sequence the parallel coordinator would record."""
+    from repro.core.executor import record_batch_plan
+    from repro.gpusim import RTX5090, GPUCostModel
+    from repro.solvers import SOLVER_REGISTRY
+
+    solver, kwargs = request.param
+    res = SOLVER_REGISTRY[solver](poisson2d(12), scheduler="trojan",
+                                  **kwargs).factorize()
+    model = GPUCostModel(RTX5090)
+    out = [(res.dag, record_batch_plan(res.dag, model).batches)]
+    for ctx in res.solve_contexts():
+        sdag = ctx.dag_for(1)
+        out.append((sdag, record_batch_plan(sdag, model,
+                                            solve=True).batches))
+    return out
+
+
 class TestGearsAgree:
     """The sweep gear is an optimisation, never a second opinion: for
     clean and racy plans alike its report equals the exact engine's,
     code for code and task id for task id."""
-
-    #: (solver, kwargs) — the substrates the parallel engine dispatches
-    SUBSTRATES = [("pangulu", {"block_size": 24}),
-                  ("superlu", {"max_supernode": 16, "merge_schur": False})]
 
     @staticmethod
     def assert_same_report(plan, expect_gear=None):
@@ -487,25 +511,9 @@ class TestGearsAgree:
         assert got.violations == want.violations
         return got
 
-    @pytest.fixture(scope="class", params=SUBSTRATES,
-                    ids=[s for s, _ in SUBSTRATES])
-    def dags(self, request):
-        """Factor, L-solve and U-solve DAGs of one substrate, each with
-        the batch sequence the parallel coordinator would record."""
-        from repro.core.executor import record_batch_plan
-        from repro.gpusim import RTX5090, GPUCostModel
-        from repro.solvers import SOLVER_REGISTRY
-
-        solver, kwargs = request.param
-        res = SOLVER_REGISTRY[solver](poisson2d(12), scheduler="trojan",
-                                      **kwargs).factorize()
-        model = GPUCostModel(RTX5090)
-        out = [(res.dag, record_batch_plan(res.dag, model).batches)]
-        for ctx in res.solve_contexts():
-            sdag = ctx.dag_for(1)
-            out.append((sdag, record_batch_plan(sdag, model,
-                                                solve=True).batches))
-        return out
+    @pytest.fixture(scope="class")
+    def dags(self, execution_dags):
+        return execution_dags
 
     @pytest.mark.parametrize("payload", _golden_plan_payloads())
     def test_golden_plans(self, payload):
@@ -557,3 +565,216 @@ class TestGearsAgree:
         report = self.assert_same_report(
             dataclasses.replace(plan, lvl=bad))
         assert report.ok, report.describe()
+
+
+# ---------------------------------------------------------------------
+# batches: concurrent groups, not sequential program order
+# ---------------------------------------------------------------------
+def _batched(tasks, batches):
+    return [dict(t, batch=b) for t, b in zip(tasks, batches)]
+
+
+PANEL = [{"type": "GETRF", "i": 0, "j": 0, "k": 0, "rank": 0},
+         {"type": "TSTRF", "i": 1, "j": 0, "k": 0, "rank": 0}]
+
+
+class TestBatchSemantics:
+    def test_producer_and_consumer_in_one_batch(self):
+        # clean as a sequence; as one concurrent batch it is broken
+        assert verify_plan(plan_of(PANEL, [[0, 1]], nprocs=1)).ok
+        report = verify_plan(plan_of(_batched(PANEL, [0, 0]), [[0, 1]],
+                                     nprocs=1))
+        assert report.codes() == {rep.DEP_ORDER, rep.HAZARD_RW}
+        [v] = report.by_code(rep.DEP_ORDER)
+        assert v.task_ids == (1, 0) and v.batch_ids == (0, 0)
+
+    def test_consecutive_batches_are_clean(self):
+        report = verify_plan(plan_of(_batched(PANEL, [0, 1]), [[0, 1]],
+                                     nprocs=1))
+        assert report.ok, report.describe()
+        # one rank of batches: nothing is cross-rank, nothing can wait
+        assert set(report.checks) == {"completeness", "cycles",
+                                      "dependencies", "hazards"}
+
+    def test_consumer_in_an_earlier_batch(self):
+        report = verify_plan(plan_of(_batched(PANEL, [1, 0]), [[0, 1]],
+                                     nprocs=1))
+        assert report.codes() == {rep.DEP_ORDER}
+
+    def test_cross_rank_batchmates_are_hazards_not_races(self):
+        tasks = [{"type": "GETRF", "i": 0, "j": 0, "k": 0, "rank": 0},
+                 {"type": "GETRF", "i": 0, "j": 0, "k": 0, "rank": 1}]
+        assert verify_plan(plan_of(_batched(tasks, [0, 0]), [])).codes() \
+            == {rep.HAZARD_WW}
+        assert verify_plan(plan_of(_batched(tasks, [0, 1]), [])).codes() \
+            == {rep.PLAN_RACE_WW}
+
+    def test_atomic_escape_is_per_rank(self):
+        tasks = [{"type": "SSSSM", "i": 1, "j": 1, "k": 0, "rank": 0},
+                 {"type": "SSSSM", "i": 1, "j": 1, "k": 0, "rank": 0}]
+        assert verify_plan(plan_of(_batched(tasks, [0, 0]), [])).ok
+        tasks[1]["rank"] = 1
+        assert rep.HAZARD_WW in verify_plan(
+            plan_of(_batched(tasks, [0, 0]), [])).codes()
+
+    def test_a_message_carries_its_whole_step(self):
+        # rank 0 runs a (writes (0,0)) and b side by side; only b sends
+        # to rank 1, whose c reads a's tile.  A batch ends as a whole, so
+        # b's message orders a before c whatever rank 0's order says; as
+        # a sequence with b first, nothing orders a and c.
+        tasks = [{"type": "GETRF", "i": 0, "j": 0, "k": 0, "rank": 0},
+                 {"type": "SSSSM", "i": 1, "j": 0, "k": 2, "rank": 0},
+                 {"type": "TSTRF", "i": 1, "j": 0, "k": 0, "rank": 1}]
+        order = [[1, 0], [2]]
+        seq = plan_of(tasks, [[1, 2]], nb=3, order=order)
+        assert verify_plan(seq).codes() == {rep.PLAN_RACE_RW}
+        batched = plan_of(_batched(tasks, [0, 0, 1]), [[1, 2]], nb=3,
+                          order=order)
+        report = verify_plan(batched)
+        assert report.ok, report.describe()
+
+    def test_batch_round_trips_through_json(self):
+        plan = plan_of(_batched(PANEL, [0, 1]), [[0, 1]], nprocs=1)
+        back = PlanSpec.from_dict(json.loads(json.dumps(plan.to_dict())))
+        np.testing.assert_array_equal(back.batch, [0, 1])
+        assert "batch" not in plan_of(PANEL, [], nprocs=1).to_dict()[
+            "tasks"][0]
+
+    def test_timed_launches_check_times(self, dag):
+        from types import SimpleNamespace
+
+        from repro.verify.schedule import verify_schedule
+
+        levels = dag.level_schedule()
+        records = [SimpleNamespace(task_ids=list(ids), t_start=float(d),
+                                   t_end=d + 1.0)
+                   for d, ids in enumerate(levels)]
+        assert verify_schedule(dag, records).ok
+        # the last launch claims to start first: an ordering by list
+        # position would not notice, the timed check does
+        records[-1].t_start = -1.0
+        assert rep.DEP_ORDER in verify_schedule(dag, records).codes()
+
+
+class TestExecutionBattery:
+    """Real execution plans — factor, L-solve and U-solve DAGs of both
+    substrates — certify clean at every rank count, and fusing their
+    first two batches is caught at every rank count."""
+
+    @pytest.mark.parametrize("nprocs", [1, 2, 4])
+    def test_clean_and_merged(self, execution_dags, nprocs):
+        grid = ProcessGrid(nprocs)
+        for sdag, batches in execution_dags:
+            report = verify_plan(PlanSpec.from_execution(sdag, grid,
+                                                         batches))
+            assert report.ok, report.describe()
+            merged = [np.concatenate(batches[:2])] + list(batches[2:])
+            report = verify_plan(PlanSpec.from_execution(sdag, grid,
+                                                         merged))
+            assert rep.DEP_ORDER in report.codes(), report.describe()
+
+
+# ---------------------------------------------------------------------
+# PlanSpec.from_dict: the JSON comes from outside the program
+# ---------------------------------------------------------------------
+def _two_task_payload():
+    return {"nprocs": 2, "nb": 2, "edges": [[0, 1]],
+            "tasks": [dict(t) for t in PANEL]}
+
+
+def _set(path, value):
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return payload
+    return mutate
+
+
+class TestFromDictValidation:
+    @pytest.mark.parametrize("mutate, field", [
+        (_set(("edges", 0, 1), 99), "edges[0]"),
+        (_set(("edges", 0, 0), -1), "edges[0]"),
+        (_set(("edges", 0), [0]), "edges[0]"),
+        (_set(("tasks", 1, "i"), 2), "tasks[1].i"),
+        (_set(("tasks", 0, "j"), 5), "tasks[0].j"),
+        (_set(("tasks", 0, "type"), "FOO"), "tasks[0].type"),
+        (_set(("tasks", 1, "rank"), 2), "tasks[1].rank"),
+        (_set(("tasks", 1, "i"), "x"), "tasks[1].i"),
+        (_set(("tasks", 0, "batch"), -1), "tasks[0].batch"),
+        (_set(("tasks", 0, "batch"), 0), "tasks[1].batch"),
+        (_set(("nprocs",), 0), "nprocs"),
+        (_set(("nb",), 10**6), "nb"),
+    ])
+    def test_rejected_naming_the_field(self, mutate, field):
+        with pytest.raises(ValueError) as exc_info:
+            PlanSpec.from_dict(mutate(_two_task_payload()))
+        assert field in str(exc_info.value)
+
+    def test_batch_on_every_task(self):
+        payload = _two_task_payload()
+        for q, t in enumerate(payload["tasks"]):
+            t["batch"] = q
+        np.testing.assert_array_equal(PlanSpec.from_dict(payload).batch,
+                                      [0, 1])
+
+    def test_cli_prints_one_line_and_exits_nonzero(self, tmp_path,
+                                                   capsys):
+        from repro.cli import main
+
+        payload = _set(("edges", 0, 1), 99)(_two_task_payload())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "plan", "expect": [],
+                                    "plan": payload}), encoding="utf-8")
+        assert main(["verify", "--case", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "edges[0]" in err[0], err
+
+
+_JUNK = st.sampled_from([-1, 0, 1, 2, 3, 7, 99, 2**40, -2**40, 2**70,
+                         1.5, "x", None, True, [], [0], [0, 1], {}])
+
+
+def _golden_json_plans():
+    out = []
+    for path in PLAN_CASES + ADVERSARIAL:
+        case = json.loads(path.read_text(encoding="utf-8"))
+        if case.get("kind") == "plan":
+            out.append(case["plan"])
+    return out
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) location inside a JSON value."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_golden_plans_raise_value_error_or_verify(data):
+    payload = json.loads(json.dumps(
+        data.draw(st.sampled_from(_golden_json_plans()))))
+    # mutation targets: every field of the plan's shape (the fault
+    # block has its own parser and is left alone)
+    paths = [q for q in _paths(payload) if q[0] != "faults"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(paths))
+        try:
+            _set(path, data.draw(_JUNK))(payload)
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation replaced a parent
+    tasks = payload.get("tasks")
+    if isinstance(tasks, list) and data.draw(st.booleans()):
+        for t in tasks:
+            if isinstance(t, dict):
+                t["batch"] = data.draw(st.integers(0, 4))
+    try:
+        plan = PlanSpec.from_dict(payload)
+    except ValueError:
+        return
+    assert isinstance(PlanVerifier(plan).verify(), VerificationReport)
